@@ -1,7 +1,7 @@
-//! Fleet-size benchmark: per-step control-plane cost of the sharded store +
-//! batched dispatch scheduler vs the legacy flat-store per-job scanner,
-//! and per-step server-plane cost of the event-driven core vs the stepped
-//! oracle on a steady fleet, swept over 100 / 1 000 / 10 000-leaf fleets.
+//! Fleet-size benchmark: per-step cost and control-plane split of the
+//! sharded store + batched dispatch scheduler, and per-step server-plane
+//! cost of the event-driven core vs the stepped oracle on a steady fleet,
+//! swept over 100 / 1 000 / 10 000-leaf fleets.
 //! Results land in `BENCH_fleet.json` at the workspace root so the numbers
 //! are tracked in version control alongside the code that produced them.
 //! Full-mode sweeps (and `--check` on the committed artifact) must hold
@@ -19,16 +19,15 @@
 //! * `-- --check` — validates the committed `BENCH_fleet.json` against the
 //!   schema without running anything (the CI guard against artifact drift).
 //!
-//! Every sweep point runs both arms on the identical scenario and asserts
-//! the schedules match, so the benchmark doubles as a large-fleet
-//! equivalence check on top of the property tests.
+//! Every sweep point runs both sim cores (and metering on and off) on the
+//! identical scenario and asserts the results match, so the benchmark
+//! doubles as a large-fleet equivalence check on top of the property tests.
 
 use criterion::Criterion;
 use heracles_bench::fleet_bench::{
     bench_fleet, bench_report_json, check_metering_overhead_gate, check_server_plane_gate,
     measure_fleet_size, validate_bench_json, FleetSizePoint,
 };
-use heracles_fleet::ShardingMode;
 
 /// `(initial servers, steps per arm)` sweep points.
 const FULL_SWEEP: [(usize, usize); 3] = [(100, 24), (1_000, 10), (10_000, 4)];
@@ -37,7 +36,7 @@ const FAST_SWEEP: [(usize, usize); 3] = [(100, 8), (1_000, 4), (10_000, 2)];
 fn print_point(p: &FleetSizePoint) {
     println!(
         "{:>6} servers ({} steps): step {:.3} ms, control plane {:.3} ms \
-         (routing {:.3} + dispatch {:.3} + signals {:.3}) — legacy {:.3} ms, speedup {:.1}x",
+         (routing {:.3} + dispatch {:.3} + signals {:.3})",
         p.servers,
         p.steps,
         p.step_ms,
@@ -45,8 +44,6 @@ fn print_point(p: &FleetSizePoint) {
         p.routing_ms,
         p.dispatch_ms,
         p.signals_ms,
-        p.legacy_control_plane_ms,
-        p.control_plane_speedup,
     );
     println!(
         "{:>6} server plane (steady): event {:.3} ms vs stepped {:.3} ms per step — \
@@ -86,7 +83,7 @@ fn main() {
     // smallest sweep size (the fleet persists across iterations, so later
     // samples step a later point of the diurnal curve — same as production).
     let mut criterion = Criterion::default().sample_size(10);
-    let mut fleet = bench_fleet(100, 32, ShardingMode::PerPool, true);
+    let mut fleet = bench_fleet(100, 32, false);
     criterion.bench_function("fleet_step/100_servers", |b| b.iter(|| fleet.step_once()));
 
     if smoke {

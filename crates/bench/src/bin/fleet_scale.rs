@@ -76,7 +76,8 @@ use heracles_bench::cli::Args;
 use heracles_cluster::TcoModel;
 use heracles_fleet::{
     single_server_baseline_violations, EnergyConfig, EnergyPriceSchedule, FleetConfig, FleetResult,
-    FleetSim, GenerationMix, InterferenceModel, PolicyKind, SimCore, Telemetry, TelemetryConfig,
+    FleetSim, GenerationMix, InterferenceModel, PhaseProfile, PolicyKind, SimCore, Telemetry,
+    TelemetryConfig,
 };
 use heracles_hw::ServerConfig;
 use heracles_telemetry::{validate_metrics_json, validate_trace_jsonl};
@@ -276,22 +277,22 @@ fn autoscale_sweep(config: FleetConfig, server: &ServerConfig, which: &str, csv:
 
 /// Runs `config` once under `policy` (elastically when `autoscale` names a
 /// kind), returning the wall seconds the run took and, when traced, its
-/// telemetry bundle.
+/// telemetry bundle with the run's phase profile.
 fn timed_run(
     config: FleetConfig,
     server: &ServerConfig,
     policy: PolicyKind,
     autoscale: &str,
-) -> (f64, Option<Telemetry>) {
+) -> (f64, Option<(Telemetry, PhaseProfile)>) {
     let started = std::time::Instant::now();
-    let telemetry = if autoscale.is_empty() {
+    let observed = if autoscale.is_empty() {
         let mut sim = FleetSim::new(config, server.clone(), policy);
         for _ in 0..config.steps {
             sim.step_once();
         }
         sim.emit_health_summary();
         sim.emit_energy_summary();
-        sim.take_telemetry()
+        sim.take_telemetry().map(|t| (t, *sim.profile()))
     } else {
         let kind: AutoscaleKind = autoscale.parse().unwrap_or_else(|e| {
             eprintln!("invalid --autoscale value for a traced run: {e}");
@@ -304,9 +305,9 @@ fn timed_run(
         }
         fleet.emit_health_summary();
         fleet.emit_energy_summary();
-        fleet.take_telemetry()
+        fleet.take_telemetry().map(|t| (t, *fleet.sim().profile()))
     };
-    (started.elapsed().as_secs_f64(), telemetry)
+    (started.elapsed().as_secs_f64(), observed)
 }
 
 /// The traced single-run mode behind `--trace`: runs once with the
@@ -325,8 +326,8 @@ fn traced_run(
     gate_pct: f64,
 ) {
     let traced_cfg = FleetConfig { telemetry: telemetry_cfg, ..config };
-    let (traced_wall, telemetry) = timed_run(traced_cfg, server, policy, autoscale);
-    let telemetry = telemetry.expect("telemetry was enabled");
+    let (traced_wall, observed) = timed_run(traced_cfg, server, policy, autoscale);
+    let (telemetry, profile) = observed.expect("telemetry was enabled");
 
     let mut header = vec![
         ("policy", policy.name().to_string()),
@@ -367,7 +368,7 @@ fn traced_run(
         );
     }
     if !metrics_path.is_empty() {
-        let metrics_doc = telemetry.metrics_json();
+        let metrics_doc = telemetry.metrics_json_with_phases(&profile.phases(), profile.steps);
         if let Err(e) = validate_metrics_json(&metrics_doc) {
             eprintln!("metrics failed schema validation before writing: {e}");
             std::process::exit(1);
@@ -417,7 +418,7 @@ fn sim_core_diff(config: FleetConfig, server: &ServerConfig, policy: PolicyKind)
         for _ in 0..cfg.steps {
             sim.step_once();
         }
-        let profile = *sim.server_plane_profile();
+        let profile = *sim.profile();
         (sim.into_result(), profile)
     };
     let (stepped, stepped_profile) = run(SimCore::Stepped);
@@ -426,7 +427,7 @@ fn sim_core_diff(config: FleetConfig, server: &ServerConfig, policy: PolicyKind)
         println!(
             "{core:>8}: server plane {:.3} ms/step, {} full + {} fast windows, \
              {:.1} leaves woken/step",
-            p.per_step_ms(),
+            p.per_step_ms(p.servers_s),
             p.full_windows,
             p.fast_windows,
             p.woken_per_step()

@@ -1,21 +1,19 @@
 //! The tracked fleet-size benchmark behind `BENCH_fleet.json`: per-step
-//! control-plane cost of the sharded store + batched dispatch scheduler
-//! against the legacy flat-store per-job scanner, and per-step
-//! *server-plane* cost of the event-driven core against the stepped
-//! oracle, swept over fleet sizes.
+//! cost and control-plane split of the sharded store + batched dispatch
+//! scheduler, and per-step *server-plane* cost of the event-driven core
+//! against the stepped oracle, swept over fleet sizes.
 //!
-//! The control-plane arms run the *same* elastic scenario —
-//! compressed-diurnal mixed-service demand over a mixed-generation fleet
-//! with a Poisson job stream scaled to fleet size, driven by the reactive
-//! autoscaler.  The server-plane arms run a *steady* scenario (one held
-//! demand sample, no job stream) where the event-driven core can actually
-//! quiesce leaves, timed only after the controllers settle.  Every pair
-//! asserts its [`FleetResult`]s are identical step for step, so every
-//! published speedup is also an equivalence check.  The control-plane
-//! split (routing / dispatch / signals) comes from [`ControlPlaneProfile`];
-//! the server-plane numbers from `ServerPlaneProfile`.
+//! The control-plane arm runs an elastic scenario — compressed-diurnal
+//! mixed-service demand over a mixed-generation fleet with a Poisson job
+//! stream scaled to fleet size, driven by the reactive autoscaler.  The
+//! server-plane arms run a *steady* scenario (one held demand sample, no
+//! job stream) where the event-driven core can actually quiesce leaves,
+//! timed only after the controllers settle.  Every pair asserts its
+//! [`FleetResult`]s are identical step for step, so every published
+//! speedup is also an equivalence check.  The control-plane split and the
+//! wake counts come from the fleet's one [`PhaseProfile`].
 //!
-//! The v3 schema adds an energy-metering overhead pair: the identical
+//! Each point also carries an energy-metering overhead pair: the identical
 //! elastic scenario with the [`heracles_fleet::EnergyMeter`] ledgers
 //! installed vs off (best-of-three each arm, results asserted
 //! bit-identical — the meter is a read-only shadow).  Full-mode artifacts
@@ -32,14 +30,14 @@ use std::time::Instant;
 use heracles_autoscale::{AutoscaleConfig, AutoscaleKind, ElasticFleet};
 use heracles_colo::ColoConfig;
 use heracles_fleet::{
-    BalancerKind, ControlPlaneProfile, EnergyConfig, FleetConfig, FleetResult, FleetSim,
-    GenerationMix, JobStreamConfig, PolicyKind, ShardingMode, SimCore,
+    BalancerKind, EnergyConfig, FleetConfig, FleetResult, FleetSim, GenerationMix, JobStreamConfig,
+    PhaseProfile, PolicyKind, SimCore,
 };
 use heracles_hw::ServerConfig;
 use heracles_workloads::ServiceMix;
 
 /// Schema tag stamped into (and required from) every bench report.
-pub const BENCH_SCHEMA: &str = "heracles-fleet-bench/v3";
+pub const BENCH_SCHEMA: &str = "heracles-fleet-bench/v4";
 
 /// The headline gate CI holds the committed artifact to: at the largest
 /// full-mode sweep point, the event-driven server plane must step a steady
@@ -51,16 +49,16 @@ pub const SERVER_PLANE_SPEEDUP_GATE: f64 = 5.0;
 /// meter's ledgers must cost no more than 5% of the step.
 pub const METERING_OVERHEAD_GATE: f64 = 1.05;
 
-/// One measured sweep point: per-step wall-clock milliseconds for the
-/// sharded/batched arm, its control-plane split, and the legacy arm's
-/// numbers alongside for the headline speedup.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One measured sweep point: per-step wall-clock milliseconds of the
+/// elastic scenario with its control-plane split, the steady-fleet server
+/// plane on both sim cores, and the energy-metering overhead pair.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FleetSizePoint {
     /// Initial fleet size (the autoscaler may grow or shrink it mid-run).
     pub servers: usize,
     /// Steps each arm was driven for.
     pub steps: usize,
-    /// Whole-step wall time of the sharded/batched arm, ms per step.
+    /// Whole-step wall time of the elastic scenario, ms per step.
     pub step_ms: f64,
     /// Traffic-plane routing share of the step, ms.
     pub routing_ms: f64,
@@ -70,12 +68,6 @@ pub struct FleetSizePoint {
     pub signals_ms: f64,
     /// Routing + dispatch + signals, ms per step.
     pub control_plane_ms: f64,
-    /// Whole-step wall time of the legacy arm, ms per step.
-    pub legacy_step_ms: f64,
-    /// The legacy arm's control-plane time, ms per step.
-    pub legacy_control_plane_ms: f64,
-    /// `legacy_control_plane_ms / control_plane_ms`.
-    pub control_plane_speedup: f64,
     /// Server-plane (parallel leaf stepping) wall time of the event-driven
     /// core on the steady scenario, ms per measured step.
     pub server_plane_ms: f64,
@@ -98,21 +90,14 @@ pub struct FleetSizePoint {
     pub metering_overhead: f64,
 }
 
-/// Builds one benchmark arm: the compressed-diurnal elastic scenario at the
-/// given fleet size, with the control plane pinned to either the
-/// sharded/batched path or the legacy flat-store per-job path.
+/// Builds the benchmark's elastic scenario: compressed-diurnal demand at
+/// the given fleet size, with the energy meter's ledgers installed or not.
 ///
 /// The colo plane is kept at a small request sample on purpose: this
 /// benchmark tracks *scheduler* cost, and the per-leaf queueing simulation
 /// would otherwise dominate wall time without exercising the control plane
-/// at all.  Both arms share the sample size, so it cancels out of the
-/// speedup.
-pub fn bench_fleet(
-    servers: usize,
-    steps: usize,
-    sharding: ShardingMode,
-    batch_dispatch: bool,
-) -> ElasticFleet {
+/// at all.
+pub fn bench_fleet(servers: usize, steps: usize, metering: bool) -> ElasticFleet {
     let base = FleetConfig {
         servers,
         steps,
@@ -121,52 +106,6 @@ pub fn bench_fleet(
         services: ServiceMix::mixed_frontend(),
         balancer: BalancerKind::SlackAware,
         mix: GenerationMix::mixed_datacenter(),
-        sharding,
-        batch_dispatch,
-        colo: ColoConfig { requests_per_window: 40, ..ColoConfig::fast_test() },
-        ..FleetConfig::default()
-    };
-    let config = AutoscaleConfig::diurnal(base);
-    ElasticFleet::new(
-        config,
-        ServerConfig::default_haswell(),
-        PolicyKind::LeastLoaded,
-        AutoscaleKind::Reactive,
-    )
-}
-
-/// Drives one arm to its horizon and returns its control-plane profile,
-/// total wall seconds and the finished [`FleetResult`].
-fn run_arm(
-    servers: usize,
-    steps: usize,
-    sharding: ShardingMode,
-    batch_dispatch: bool,
-) -> (ControlPlaneProfile, f64, FleetResult) {
-    let mut fleet = bench_fleet(servers, steps, sharding, batch_dispatch);
-    let started = Instant::now();
-    for _ in 0..steps {
-        fleet.step_once();
-    }
-    let wall_s = started.elapsed().as_secs_f64();
-    let profile = fleet.control_plane_profile();
-    (profile, wall_s, fleet.finish().fleet)
-}
-
-/// Builds the metering-overhead arm: the identical elastic scenario as
-/// [`bench_fleet`] on the sharded/batched control plane, with the energy
-/// meter's ledgers installed or not.
-fn metering_fleet(servers: usize, steps: usize, metering: bool) -> ElasticFleet {
-    let base = FleetConfig {
-        servers,
-        steps,
-        windows_per_step: 2,
-        seed: 7,
-        services: ServiceMix::mixed_frontend(),
-        balancer: BalancerKind::SlackAware,
-        mix: GenerationMix::mixed_datacenter(),
-        sharding: ShardingMode::PerPool,
-        batch_dispatch: true,
         energy: if metering { EnergyConfig::metered() } else { EnergyConfig::default() },
         colo: ColoConfig { requests_per_window: 40, ..ColoConfig::fast_test() },
         ..FleetConfig::default()
@@ -180,6 +119,17 @@ fn metering_fleet(servers: usize, steps: usize, metering: bool) -> ElasticFleet 
     )
 }
 
+/// Drives the unmetered elastic scenario to its horizon and returns its
+/// phase profile and total wall seconds.
+fn run_elastic(servers: usize, steps: usize) -> (PhaseProfile, f64) {
+    let mut fleet = bench_fleet(servers, steps, false);
+    let started = Instant::now();
+    for _ in 0..steps {
+        fleet.step_once();
+    }
+    (*fleet.sim().profile(), started.elapsed().as_secs_f64())
+}
+
 /// Measures the energy-metering overhead pair at one size: best-of-three
 /// whole-run wall seconds for metered and unmetered arms on the identical
 /// scenario, asserting bit-identical results (the meter is a read-only
@@ -190,7 +140,7 @@ pub fn measure_metering_overhead(servers: usize, steps: usize) -> (f64, f64) {
     let mut results: [Option<FleetResult>; 2] = [None, None];
     for _ in 0..3 {
         for (arm, metering) in [true, false].into_iter().enumerate() {
-            let mut fleet = metering_fleet(servers, steps, metering);
+            let mut fleet = bench_fleet(servers, steps, metering);
             let started = Instant::now();
             for _ in 0..steps {
                 fleet.step_once();
@@ -254,13 +204,13 @@ fn run_server_plane_arm(servers: usize, core: SimCore) -> (f64, f64, FleetResult
     for _ in 0..SERVER_PLANE_WARMUP {
         sim.step_once();
     }
-    let warm = *sim.server_plane_profile();
+    let warm = *sim.profile();
     let started = Instant::now();
     for _ in 0..SERVER_PLANE_MEASURE {
         sim.step_once();
     }
     let wall_s = started.elapsed().as_secs_f64();
-    let profile = *sim.server_plane_profile();
+    let profile = *sim.profile();
     let woken =
         (profile.woken_leaf_steps - warm.woken_leaf_steps) as f64 / SERVER_PLANE_MEASURE as f64;
     (wall_s * 1e3 / SERVER_PLANE_MEASURE as f64, woken, sim.into_result())
@@ -284,9 +234,8 @@ pub fn measure_server_plane(servers: usize) -> (f64, f64, f64) {
     (event_ms, stepped_ms, woken)
 }
 
-/// Measures one sweep point: runs the sharded/batched arm and the legacy
-/// arm on the identical scenario, asserts they produced the same schedule,
-/// then runs the steady server-plane pair (event-driven vs stepped) at the
+/// Measures one sweep point: runs the elastic scenario, then the steady
+/// server-plane pair (event-driven vs stepped) and the metering pair at the
 /// same size, and returns all per-step costs.
 ///
 /// # Panics
@@ -295,17 +244,7 @@ pub fn measure_server_plane(servers: usize) -> (f64, f64, f64) {
 /// property tests pin would surface here too, on fleets far larger than
 /// proptest can afford.
 pub fn measure_fleet_size(servers: usize, steps: usize) -> FleetSizePoint {
-    let (profile, wall_s, result) = run_arm(servers, steps, ShardingMode::PerPool, true);
-    let (legacy_profile, legacy_wall_s, legacy_result) =
-        run_arm(servers, steps, ShardingMode::Single, false);
-    assert_eq!(
-        result.steps, legacy_result.steps,
-        "sharded/batched arm diverged from the legacy scheduler (per-step metrics)"
-    );
-    assert_eq!(
-        result.jobs, legacy_result.jobs,
-        "sharded/batched arm diverged from the legacy scheduler (job ledger)"
-    );
+    let (profile, wall_s) = run_elastic(servers, steps);
     let (server_plane_ms, stepped_server_plane_ms, woken_leaves_per_step) =
         measure_server_plane(servers);
     let (metered_step_ms, unmetered_step_ms) = measure_metering_overhead(servers, steps);
@@ -317,10 +256,7 @@ pub fn measure_fleet_size(servers: usize, steps: usize) -> FleetSizePoint {
         routing_ms: per_step_ms(profile.routing_s),
         dispatch_ms: per_step_ms(profile.dispatch_s),
         signals_ms: per_step_ms(profile.signals_s),
-        control_plane_ms: profile.per_step_ms(),
-        legacy_step_ms: per_step_ms(legacy_wall_s),
-        legacy_control_plane_ms: legacy_profile.per_step_ms(),
-        control_plane_speedup: legacy_profile.per_step_ms() / profile.per_step_ms().max(1e-12),
+        control_plane_ms: per_step_ms(profile.routing_s + profile.dispatch_s + profile.signals_s),
         server_plane_ms,
         stepped_server_plane_ms,
         server_plane_speedup: stepped_server_plane_ms / server_plane_ms.max(1e-12),
@@ -331,74 +267,49 @@ pub fn measure_fleet_size(servers: usize, steps: usize) -> FleetSizePoint {
     }
 }
 
+impl FleetSizePoint {
+    /// The point's report fields as `(key, value, decimals)`, in report
+    /// order — the one list the writer and the validator share.
+    fn fields(&self) -> [(&'static str, f64, usize); 14] {
+        [
+            ("servers", self.servers as f64, 0),
+            ("steps", self.steps as f64, 0),
+            ("step_ms", self.step_ms, 6),
+            ("routing_ms", self.routing_ms, 6),
+            ("dispatch_ms", self.dispatch_ms, 6),
+            ("signals_ms", self.signals_ms, 6),
+            ("control_plane_ms", self.control_plane_ms, 6),
+            ("server_plane_ms", self.server_plane_ms, 6),
+            ("stepped_server_plane_ms", self.stepped_server_plane_ms, 6),
+            ("server_plane_speedup", self.server_plane_speedup, 3),
+            ("woken_leaves_per_step", self.woken_leaves_per_step, 3),
+            ("metered_step_ms", self.metered_step_ms, 6),
+            ("unmetered_step_ms", self.unmetered_step_ms, 6),
+            ("metering_overhead", self.metering_overhead, 3),
+        ]
+    }
+}
+
 /// Formats a sweep as the `BENCH_fleet.json` document.
 pub fn bench_report_json(mode: &str, points: &[FleetSizePoint]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{BENCH_SCHEMA}\",\n"));
-    out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    out.push_str("  \"policy\": \"least-loaded\",\n");
-    out.push_str("  \"autoscaler\": \"reactive\",\n");
-    out.push_str("  \"results\": [\n");
+    let mut out = format!(
+        "{{\n  \"schema\": \"{BENCH_SCHEMA}\",\n  \"mode\": \"{mode}\",\n  \
+         \"policy\": \"least-loaded\",\n  \"autoscaler\": \"reactive\",\n  \"results\": [\n"
+    );
     for (i, p) in points.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"servers\": {},\n", p.servers));
-        out.push_str(&format!("      \"steps\": {},\n", p.steps));
-        out.push_str(&format!("      \"step_ms\": {:.6},\n", p.step_ms));
-        out.push_str(&format!("      \"routing_ms\": {:.6},\n", p.routing_ms));
-        out.push_str(&format!("      \"dispatch_ms\": {:.6},\n", p.dispatch_ms));
-        out.push_str(&format!("      \"signals_ms\": {:.6},\n", p.signals_ms));
-        out.push_str(&format!("      \"control_plane_ms\": {:.6},\n", p.control_plane_ms));
-        out.push_str(&format!("      \"legacy_step_ms\": {:.6},\n", p.legacy_step_ms));
-        out.push_str(&format!(
-            "      \"legacy_control_plane_ms\": {:.6},\n",
-            p.legacy_control_plane_ms
-        ));
-        out.push_str(&format!(
-            "      \"control_plane_speedup\": {:.3},\n",
-            p.control_plane_speedup
-        ));
-        out.push_str(&format!("      \"server_plane_ms\": {:.6},\n", p.server_plane_ms));
-        out.push_str(&format!(
-            "      \"stepped_server_plane_ms\": {:.6},\n",
-            p.stepped_server_plane_ms
-        ));
-        out.push_str(&format!("      \"server_plane_speedup\": {:.3},\n", p.server_plane_speedup));
-        out.push_str(&format!(
-            "      \"woken_leaves_per_step\": {:.3},\n",
-            p.woken_leaves_per_step
-        ));
-        out.push_str(&format!("      \"metered_step_ms\": {:.6},\n", p.metered_step_ms));
-        out.push_str(&format!("      \"unmetered_step_ms\": {:.6},\n", p.unmetered_step_ms));
-        out.push_str(&format!("      \"metering_overhead\": {:.3}\n", p.metering_overhead));
-        out.push_str(if i + 1 == points.len() { "    }\n" } else { "    },\n" });
+        let fields: Vec<String> = p
+            .fields()
+            .iter()
+            .map(|(key, value, decimals)| format!("      \"{key}\": {value:.decimals$}"))
+            .collect();
+        let sep = if i + 1 == points.len() { "" } else { "," };
+        out.push_str(&format!("    {{\n{}\n    }}{sep}\n", fields.join(",\n")));
     }
     out.push_str("  ]\n}\n");
     out
 }
 
-/// Keys every result entry must carry, each with a numeric value.
-const RESULT_KEYS: [&str; 17] = [
-    "servers",
-    "steps",
-    "step_ms",
-    "routing_ms",
-    "dispatch_ms",
-    "signals_ms",
-    "control_plane_ms",
-    "legacy_step_ms",
-    "legacy_control_plane_ms",
-    "control_plane_speedup",
-    "server_plane_ms",
-    "stepped_server_plane_ms",
-    "server_plane_speedup",
-    "woken_leaves_per_step",
-    "metered_step_ms",
-    "unmetered_step_ms",
-    "metering_overhead",
-];
-
-/// Validates a `BENCH_fleet.json` document against the `v1` schema: the
+/// Validates a `BENCH_fleet.json` document against the current schema: the
 /// schema tag, a mode, at least one result entry, and every entry carrying
 /// each required key with a parseable numeric value.  Hand-rolled because
 /// the workspace vendors no JSON parser; the format is equally hand-rolled
@@ -414,20 +325,8 @@ pub fn validate_bench_json(doc: &str) -> Result<(), String> {
     if entries == 0 {
         return Err("no result entries".into());
     }
-    for key in RESULT_KEYS {
-        let needle = format!("\"{key}\":");
-        let mut found = 0;
-        let mut rest = doc;
-        while let Some(pos) = rest.find(&needle) {
-            rest = &rest[pos + needle.len()..];
-            let value: String =
-                rest.trim_start().chars().take_while(|c| !",}\n".contains(*c)).collect();
-            let value = value.trim();
-            value
-                .parse::<f64>()
-                .map_err(|_| format!("key {key:?} has non-numeric value {value:?}"))?;
-            found += 1;
-        }
+    for (key, _, _) in FleetSizePoint::default().fields() {
+        let found = scan_values(doc, key)?.len();
         if found != entries {
             return Err(format!("expected {entries} {key:?} entries, found {found}"));
         }
@@ -435,20 +334,16 @@ pub fn validate_bench_json(doc: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Scans a bench document for one numeric key's values, in entry order.
-fn scan_values(doc: &str, key: &str) -> Vec<f64> {
+/// One numeric key's values across a bench document, in entry order.
+fn scan_values(doc: &str, key: &str) -> Result<Vec<f64>, String> {
     let needle = format!("\"{key}\":");
-    let mut values = Vec::new();
-    let mut rest = doc;
-    while let Some(pos) = rest.find(&needle) {
-        rest = &rest[pos + needle.len()..];
-        let value: String =
-            rest.trim_start().chars().take_while(|c| !",}\n".contains(*c)).collect();
-        if let Ok(v) = value.trim().parse::<f64>() {
-            values.push(v);
-        }
-    }
-    values
+    doc.match_indices(&needle)
+        .map(|(pos, _)| {
+            let rest = &doc[pos + needle.len()..];
+            let value = rest[..rest.find([',', '}', '\n']).unwrap_or(rest.len())].trim();
+            value.parse().map_err(|_| format!("key {key:?} has non-numeric value {value:?}"))
+        })
+        .collect()
 }
 
 /// The CI performance gate on a *full-mode* bench document: the largest
@@ -460,8 +355,8 @@ pub fn check_server_plane_gate(doc: &str) -> Result<(), String> {
     if !doc.contains("\"mode\": \"full\"") {
         return Ok(());
     }
-    let servers = scan_values(doc, "servers");
-    let speedups = scan_values(doc, "server_plane_speedup");
+    let servers = scan_values(doc, "servers")?;
+    let speedups = scan_values(doc, "server_plane_speedup")?;
     if servers.len() != speedups.len() || servers.is_empty() {
         return Err("malformed document: servers/server_plane_speedup mismatch".into());
     }
@@ -490,8 +385,8 @@ pub fn check_metering_overhead_gate(doc: &str) -> Result<(), String> {
     if !doc.contains("\"mode\": \"full\"") {
         return Ok(());
     }
-    let servers = scan_values(doc, "servers");
-    let overheads = scan_values(doc, "metering_overhead");
+    let servers = scan_values(doc, "servers")?;
+    let overheads = scan_values(doc, "metering_overhead")?;
     if servers.len() != overheads.len() || servers.is_empty() {
         return Err("malformed document: servers/metering_overhead mismatch".into());
     }
@@ -519,9 +414,6 @@ mod tests {
             dispatch_ms: 0.3,
             signals_ms: 0.1,
             control_plane_ms: 0.6,
-            legacy_step_ms: 3.0,
-            legacy_control_plane_ms: 2.1,
-            control_plane_speedup: 3.5,
             server_plane_ms: 0.4,
             stepped_server_plane_ms: 2.8,
             server_plane_speedup: 7.0,
@@ -543,7 +435,7 @@ mod tests {
     fn validator_rejects_malformed_documents() {
         assert!(validate_bench_json("{}").is_err());
         let doc = bench_report_json("full", &[fake_point(100)]);
-        assert!(validate_bench_json(&doc.replace("heracles-fleet-bench/v3", "v0")).is_err());
+        assert!(validate_bench_json(&doc.replace("heracles-fleet-bench/v4", "v0")).is_err());
         assert!(validate_bench_json(&doc.replace("\"dispatch_ms\":", "\"elided\":")).is_err());
         assert!(validate_bench_json(&doc.replace("\"step_ms\": 1.500000", "\"step_ms\": oops"))
             .is_err());
@@ -596,13 +488,13 @@ mod tests {
 
     #[test]
     fn tiny_sweep_measures_and_stays_equivalent() {
-        // measure_fleet_size asserts batched == legacy internally; a tiny
-        // fleet keeps this a unit test rather than a benchmark.
+        // measure_fleet_size asserts event == stepped and metered ==
+        // unmetered internally; a tiny fleet keeps this a unit test rather
+        // than a benchmark.
         let point = measure_fleet_size(24, 3);
         assert_eq!(point.servers, 24);
         assert!(point.step_ms > 0.0);
         assert!(point.control_plane_ms > 0.0);
-        assert!(point.legacy_control_plane_ms > 0.0);
         assert!(point.server_plane_ms > 0.0);
         assert!(point.stepped_server_plane_ms > 0.0);
         assert!(

@@ -26,7 +26,11 @@
 //!   must equal its per-generation watts decomposition integrated over
 //!   the step, and (on a lossless trace) the meter's fleet ledger must
 //!   equal the step column's sum.  A broken conservation identity fails
-//!   the binary the same way a broken sketch bound does.
+//!   the binary the same way a broken sketch bound does,
+//! * **where step time went** (when a metrics document is present) — the
+//!   document's `"phases"` section as milliseconds per step and each
+//!   phase's share of the charged time, answering "why was this step
+//!   slow?" from the artifacts alone.
 //!
 //! The report reads either artifacts on disk (`--trace`, `--metrics`) or a
 //! live run: [`live_report`] runs a fleet with the health plane enabled,
@@ -145,7 +149,36 @@ pub struct DoctorReport {
     /// Top-k energy-hungriest leaves from the latest `energy`/`top_leaf`
     /// snapshot: (server id, joules, dollars).
     pub energy_leaves: Vec<(u64, f64, f64)>,
+    /// The metrics document's phase profile, when one was available.
+    pub phases: Option<PhaseSection>,
 }
+
+/// The `"phases"` section of a metrics document: wall seconds per named
+/// step phase, summed over `steps` steps.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct PhaseSection {
+    /// `(phase, seconds)` in document order (the `_s` suffix stripped).
+    pub phases: Vec<(String, f64)>,
+    /// Steps the profile covers.
+    pub steps: u64,
+}
+
+/// A metrics-document histogram the doctor refuses to read.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HistogramError {
+    /// The histogram's metric id.
+    pub histogram: String,
+    /// What is wrong with it.
+    pub problem: String,
+}
+
+impl std::fmt::Display for HistogramError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "histogram {}: {}", self.histogram, self.problem)
+    }
+}
+
+impl std::error::Error for HistogramError {}
 
 /// The joules-vs-∫watts conservation cross-check of the energy section.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -297,7 +330,9 @@ impl DoctorReport {
             .collect();
 
         if let Some(doc) = metrics {
-            report.histogram = parse_histogram(doc, "fleet.normalized_latency")?;
+            report.histogram =
+                parse_histogram(doc, "fleet.normalized_latency").map_err(|e| e.to_string())?;
+            report.phases = parse_phases(doc)?;
         }
         Ok(report)
     }
@@ -324,6 +359,7 @@ impl DoctorReport {
         }
         sim.emit_health_summary();
         sim.emit_energy_summary();
+        let metrics = sim.metrics_json().expect("telemetry was enabled");
         let telemetry = sim.take_telemetry().expect("telemetry was enabled");
         let header = [
             ("policy", policy.name().to_string()),
@@ -334,7 +370,6 @@ impl DoctorReport {
             ("health", "on".to_string()),
         ];
         let trace = telemetry.trace_jsonl(&header);
-        let metrics = telemetry.metrics_json();
         let mut report = DoctorReport::from_artifacts(&trace, Some(&metrics))?;
         report.source = "live run".into();
         Ok(report)
@@ -604,6 +639,29 @@ impl DoctorReport {
                 );
             }
         }
+
+        let _ = writeln!(out, "\nwhere step time went");
+        match &self.phases {
+            None => {
+                out.push_str("  (no metrics document — pass --metrics for the phase profile)\n")
+            }
+            Some(p) if p.steps == 0 => out.push_str("  (the profile covers no steps)\n"),
+            Some(p) => {
+                let total: f64 = p.phases.iter().map(|(_, s)| s).sum();
+                let steps = p.steps as f64;
+                let _ = writeln!(
+                    out,
+                    "  {} steps, {:.3} ms/step charged",
+                    p.steps,
+                    total * 1e3 / steps
+                );
+                for (name, seconds) in &p.phases {
+                    let share = if total > 0.0 { seconds / total * 100.0 } else { 0.0 };
+                    let ms = seconds * 1e3 / steps;
+                    let _ = writeln!(out, "  {name:<10} {ms:>10.4} ms/step {share:>6.1}%");
+                }
+            }
+        }
         out
     }
 }
@@ -635,39 +693,78 @@ pub fn sparkline(series: &[f64]) -> String {
 
 /// Extracts the named histogram from a metrics JSON document (the
 /// registry's one-line-per-histogram rendering), or `None` when the
-/// document has no such histogram.
-pub fn parse_histogram(doc: &str, id: &str) -> Result<Option<Histogram>, String> {
+/// document has no such histogram.  A histogram whose count is not a
+/// non-negative integer, whose bounds are NaN or inverted, or whose
+/// buckets do not sum to its count is rejected: its quantiles would be
+/// meaningless (or, for bad bounds, panic).
+pub fn parse_histogram(doc: &str, id: &str) -> Result<Option<Histogram>, HistogramError> {
     let needle = format!("\"{id}\":");
     let Some(line) = doc.lines().find(|l| l.trim_start().starts_with(&needle)) else {
         return Ok(None);
     };
-    let num = |key: &str| -> Result<f64, String> {
+    let reject = |problem: String| HistogramError { histogram: id.into(), problem };
+    let raw = |key: &str| -> Result<&str, HistogramError> {
         let needle = format!("\"{key}\": ");
-        let start = line.find(&needle).ok_or_else(|| format!("histogram {id} lacks \"{key}\""))?
-            + needle.len();
+        let start =
+            line.find(&needle).ok_or_else(|| reject(format!("lacks \"{key}\"")))? + needle.len();
         let rest = &line[start..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        rest[..end].trim().parse().map_err(|e| format!("histogram {id} {key}: {e}"))
+        Ok(rest[..rest.find([',', '}']).unwrap_or(rest.len())].trim())
     };
-    let count = num("count")? as u64;
-    let open =
-        line.find("\"buckets\": [").ok_or_else(|| format!("histogram {id} lacks buckets"))?
-            + "\"buckets\": [".len();
-    let close =
-        line[open..].find(']').ok_or_else(|| format!("histogram {id} buckets unterminated"))?;
+    let num = |key: &str| -> Result<f64, HistogramError> {
+        raw(key)?.parse().map_err(|e| reject(format!("{key}: {e}")))
+    };
+    let count_raw = raw("count")?;
+    let count: u64 = count_raw
+        .parse()
+        .map_err(|_| reject(format!("count {count_raw:?} is not a non-negative integer")))?;
+    let (min, max) = (num("min")?, num("max")?);
+    if min.is_nan() || max.is_nan() || max < min {
+        return Err(reject(format!("bounds min {min} / max {max} are not ordered numbers")));
+    }
+    let open = line.find("\"buckets\": [").ok_or_else(|| reject("lacks buckets".into()))?
+        + "\"buckets\": [".len();
+    let close = line[open..].find(']').ok_or_else(|| reject("buckets unterminated".into()))?;
     let mut buckets = [0u64; HISTOGRAM_BUCKET_BOUNDS.len() + 1];
     let mut n = 0;
     for part in line[open..open + close].split(',') {
         if n >= buckets.len() {
-            return Err(format!("histogram {id} has too many buckets"));
+            return Err(reject("has too many buckets".into()));
         }
-        buckets[n] = part.trim().parse().map_err(|e| format!("histogram {id} bucket {n}: {e}"))?;
+        buckets[n] = part.trim().parse().map_err(|e| reject(format!("bucket {n}: {e}")))?;
         n += 1;
     }
     if n != buckets.len() {
-        return Err(format!("histogram {id} has {n} buckets, expected {}", buckets.len()));
+        return Err(reject(format!("has {n} buckets, expected {}", buckets.len())));
     }
-    Ok(Some(Histogram { count, sum: num("sum")?, min: num("min")?, max: num("max")?, buckets }))
+    if buckets.iter().try_fold(0u64, |acc, &b| acc.checked_add(b)) != Some(count) {
+        return Err(reject(format!("buckets do not sum to count {count}")));
+    }
+    Ok(Some(Histogram { count, sum: num("sum")?, min, max, buckets }))
+}
+
+/// Extracts the `"phases"` section of a metrics JSON document: every
+/// `"<phase>_s": seconds` row and the `"steps"` count.  `None` when the
+/// document has no such section; an error when a row is not a finite,
+/// non-negative number of seconds or the step count is not an integer.
+pub fn parse_phases(doc: &str) -> Result<Option<PhaseSection>, String> {
+    let Some(start) = doc.find("\"phases\": {") else { return Ok(None) };
+    let body = &doc[start + "\"phases\": {".len()..];
+    let body = &body[..body.find('}').ok_or("metrics phases section unterminated")?];
+    let (mut section, mut steps) = (PhaseSection::default(), None);
+    for row in body.split(',').map(str::trim).filter(|r| !r.is_empty()) {
+        let bad = || format!("metrics phases row {row:?} is neither a phase's seconds nor steps");
+        let (key, value) = row.split_once(':').ok_or_else(bad)?;
+        let (key, value) = (key.trim().trim_matches('"'), value.trim());
+        if key == "steps" {
+            steps = Some(value.parse::<u64>().map_err(|_| bad())?);
+        } else {
+            let phase = key.strip_suffix("_s").ok_or_else(bad)?;
+            let seconds = value.parse::<f64>().ok().filter(|s| s.is_finite() && *s >= 0.0);
+            section.phases.push((phase.to_string(), seconds.ok_or_else(bad)?));
+        }
+    }
+    section.steps = steps.ok_or("metrics phases section lacks \"steps\"")?;
+    Ok(Some(section))
 }
 
 #[cfg(test)]
@@ -764,6 +861,100 @@ mod tests {
         assert_eq!(parsed.buckets, h.buckets);
         assert!((parsed.quantile(0.95) - h.quantile(0.95)).abs() < 1e-9);
         assert_eq!(parse_histogram(&doc, "no.such.histogram").unwrap(), None);
+    }
+
+    /// A metrics document whose latency histogram holds 0.5, 1.0, 1.5 and
+    /// whose phase profile covers four steps.
+    fn small_metrics_doc() -> String {
+        let mut tel = heracles_telemetry::Telemetry::new(TelemetryConfig::enabled()).unwrap();
+        for v in [0.5, 1.0, 1.5] {
+            tel.metrics.observe("fleet.normalized_latency", v);
+        }
+        tel.metrics_json_with_phases(&[("routing", 0.001), ("servers", 0.003)], 4)
+    }
+
+    fn parse_latency(doc: &str) -> Result<Option<Histogram>, HistogramError> {
+        parse_histogram(doc, "fleet.normalized_latency")
+    }
+
+    #[test]
+    fn histogram_with_a_nan_bound_is_rejected() {
+        let doc = small_metrics_doc();
+        assert!(parse_latency(&doc).unwrap().is_some());
+        for bad in [
+            doc.replace("\"min\": 0.500000", "\"min\": NaN"),
+            doc.replace("\"max\": 1.500000", "\"max\": NaN"),
+        ] {
+            let err = parse_latency(&bad).unwrap_err();
+            assert_eq!(err.histogram, "fleet.normalized_latency");
+            assert!(err.problem.contains("not ordered numbers"), "{err}");
+        }
+    }
+
+    #[test]
+    fn histogram_with_max_below_min_is_rejected() {
+        let bad = small_metrics_doc().replace("\"max\": 1.500000", "\"max\": 0.250000");
+        let err = parse_latency(&bad).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "histogram fleet.normalized_latency: bounds min 0.5 / max 0.25 are not ordered numbers"
+        );
+        assert!(DoctorReport::from_artifacts(&minimal_trace(), Some(&bad)).is_err());
+    }
+
+    #[test]
+    fn histogram_count_must_be_a_non_negative_integer() {
+        let doc = small_metrics_doc();
+        for value in ["2.5", "-1", "1e400", "NaN", "three"] {
+            let bad = doc.replace("\"count\": 3", &format!("\"count\": {value}"));
+            let err = parse_latency(&bad).unwrap_err();
+            assert_eq!(err.histogram, "fleet.normalized_latency");
+            assert!(err.problem.contains("not a non-negative integer"), "{value}: {err}");
+        }
+        let bad = doc.replace("\"count\": 3", "\"count\": 4");
+        assert!(parse_latency(&bad).unwrap_err().problem.contains("do not sum to count 4"));
+    }
+
+    fn minimal_trace() -> String {
+        "{\"schema\":\"heracles-trace/v1\",\"events\":1,\"dropped\":0}\n\
+         {\"t\":1.000000,\"scope\":\"fleet\",\"kind\":\"step\",\"step\":0,\"worst_normalized_latency\":0.900000}\n"
+            .to_string()
+    }
+
+    #[test]
+    fn phase_section_shows_where_step_time_went() {
+        let report = DoctorReport::from_artifacts(&minimal_trace(), Some(&small_metrics_doc()))
+            .expect("artifacts parse");
+        let phases = report.phases.as_ref().expect("phases parsed");
+        assert_eq!(phases.steps, 4);
+        assert_eq!(phases.phases, vec![("routing".into(), 0.001), ("servers".into(), 0.003)]);
+        let rendered = report.render();
+        assert!(rendered.contains("where step time went\n  4 steps, 1.000 ms/step charged"));
+        assert!(rendered.contains("servers        0.7500 ms/step   75.0%"), "{rendered}");
+        let doc = small_metrics_doc();
+        for (from, to) in [
+            ("\"servers_s\": 0.003000000", "\"servers_s\": NaN"),
+            ("\"servers_s\": 0.003000000", "\"servers_s\": -1"),
+            ("\"steps\": 4", "\"steps\": x"),
+        ] {
+            assert!(parse_phases(&doc.replace(from, to)).is_err(), "{to} accepted");
+        }
+        // Without a metrics document the section says where to get one.
+        let bare = DoctorReport::from_artifacts(&minimal_trace(), None).unwrap();
+        assert!(bare.render().contains("pass --metrics"));
+    }
+
+    #[test]
+    fn live_report_profiles_every_step() {
+        let report = DoctorReport::live(
+            doctor_config(),
+            &ServerConfig::default_haswell(),
+            PolicyKind::LeastLoaded,
+        )
+        .unwrap();
+        let phases = report.phases.expect("the live report carries the phase profile");
+        assert_eq!(phases.steps, 16);
+        assert!(phases.phases.iter().any(|(_, s)| *s > 0.0));
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! emission order — so the bench crate needs no JSON dependency.  It
 //! produces three views:
 //!
-//! * **placement outcomes** — dispatch rounds, jobs placed vs unplaced,
-//!   batched-plan usage, per placement policy (the trace header names the
-//!   policy the run used),
+//! * **placement outcomes** — dispatch rounds and jobs placed vs unplaced,
+//!   per placement policy (the trace header names the policy the run
+//!   used),
 //! * **violation attribution** — every SLO-violation server-step keyed by
 //!   its `(service, generation, balancer-decision)` cause; the parse fails
 //!   loudly if any violation line is missing one of the three, so an
@@ -120,8 +120,6 @@ pub struct TraceReport {
     pub dropped: u64,
     /// Dispatch rounds observed (one per step with pending jobs).
     pub dispatch_rounds: u64,
-    /// Rounds that used a batched placement plan.
-    pub batched_rounds: u64,
     /// Jobs placed, total.
     pub placed: u64,
     /// Jobs that no server admitted, total.
@@ -226,12 +224,7 @@ impl TraceReport {
                     }
                     pending_wakes = 0;
                 }
-                ("fleet", "dispatch_round") => {
-                    report.dispatch_rounds += 1;
-                    if field_raw(line, "batched").map(|b| b == "true").unwrap_or(false) {
-                        report.batched_rounds += 1;
-                    }
-                }
+                ("fleet", "dispatch_round") => report.dispatch_rounds += 1,
                 ("fleet", "place") => report.placed += 1,
                 ("fleet", "unplaced") => report.unplaced += 1,
                 ("fleet", "complete") => report.completed += 1,
@@ -379,11 +372,7 @@ impl TraceReport {
         }
 
         let _ = writeln!(out, "\nplacement outcomes{}", self.partial_marker());
-        let _ = writeln!(
-            out,
-            "  dispatch rounds: {} ({} used a batched plan)",
-            self.dispatch_rounds, self.batched_rounds
-        );
+        let _ = writeln!(out, "  dispatch rounds: {}", self.dispatch_rounds);
         let _ = writeln!(
             out,
             "  jobs: {} placed, {} unplaced, {} completed, {} preempted",

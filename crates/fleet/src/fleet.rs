@@ -20,24 +20,29 @@
 //! contributes three times the machine time of a 16-core box at the same
 //! fraction.
 //!
-//! Each step the simulator:
+//! Each step ([`FleetSim::step_once`]) runs seven named phases:
 //!
-//! 1. routes every service's offered QPS across its in-service leaves via
-//!    the traffic plane (demand is conserved: what a retired leaf used to
-//!    serve lands on the survivors as added load),
-//! 2. admits this step's job arrivals into the queue,
-//! 3. dispatches queued jobs through the [`PlacementPolicy`] against the
-//!    [`PlacementStore`],
-//! 4. advances every in-service server by `windows_per_step` measurement
-//!    windows — in parallel across servers via [`parallel_map_mut`], since
+//! 1. **cap** — split a cluster power budget into per-leaf RAPL caps,
+//! 2. **route** — route every service's offered QPS across its in-service
+//!    leaves via the traffic plane (demand is conserved: what a retired
+//!    leaf used to serve lands on the survivors as added load),
+//! 3. **arrive** — admit this step's job arrivals into the queue,
+//! 4. **dispatch** — place queued jobs through the [`PlacementPolicy`]
+//!    against the [`PlacementStore`] as one batched round,
+//! 5. **advance** — advance every in-service server by `windows_per_step`
+//!    measurement windows, in parallel via [`parallel_map_mut`], since
 //!    servers only interact through the scheduler between steps,
-//! 5. credits BE progress to resident jobs, completes jobs whose demand is
-//!    served, and preempts/requeues jobs whose server kept BE disabled
-//!    beyond the grace period (the controller's verdict is final: Heracles
-//!    defends the local SLO, the scheduler routes around it),
-//! 6. refreshes the store with each server's slack, EMU and admission
-//!    verdict, and charges the step's amortized TCO to the in-service
-//!    servers.
+//! 6. **settle** — credit BE progress, complete served jobs, preempt and
+//!    requeue jobs whose server kept BE disabled beyond the grace period
+//!    (Heracles defends the local SLO, the scheduler routes around it), and
+//!    refresh the store with each server's slack, EMU and verdict,
+//! 7. **record** — aggregate the step into a [`FleetStep`], charging its
+//!    amortized TCO and energy to the in-service servers.
+//!
+//! The simulation phases never touch a shadow plane: after each one the
+//! observer (telemetry with its health plane, and the energy meter)
+//! receives a read-only view of what it did.  Every phase and observer call
+//! is charged to one [`PhaseProfile`] field.
 //!
 //! The step loop is exposed piecewise ([`FleetSim::step_once`] /
 //! [`FleetSim::into_result`]) so the elastic controller in
@@ -55,14 +60,14 @@
 //! sequences give identical elastic schedules.
 
 use heracles_cluster::TcoModel;
-use heracles_colo::{ColoConfig, ColoRunner};
+use heracles_colo::{ColoConfig, ColoRunner, LeafAdvance};
 use heracles_core::{ColocationPolicy, Heracles, HeraclesConfig, OfflineDramModel};
 use heracles_energy::{
     hour_of_day, joules_to_dollars, EnergyConfig, EnergyMeter, PowerCapCoordinator,
 };
 use heracles_hw::ServerConfig;
-use heracles_sim::{parallel_map_mut, Scheduler, SimDuration, SimRng, SimTime, WakeReason};
-use heracles_telemetry::{AlertKind, Telemetry, TelemetryConfig, TraceEvent};
+use heracles_sim::{parallel_map_mut, SimRng, SimTime};
+use heracles_telemetry::{Telemetry, TelemetryConfig, TraceEvent};
 use heracles_workloads::{
     BeWorkload, LcKind, LcWorkload, ServiceCatalog, ServiceMix, NUM_SERVICES,
 };
@@ -72,14 +77,15 @@ use crate::generation::{Generation, GenerationMix};
 use crate::job::{BeJob, JobId, JobQueue, JobStreamConfig};
 use crate::metrics::{
     core_weighted_mean, server_step_tco_dollars, ControlPlaneProfile, FleetEvent, FleetEventKind,
-    FleetResult, FleetStep, ServerPlaneProfile,
+    FleetResult, FleetStep, PhaseProfile, ServerPlaneProfile,
 };
+use crate::observe::{Observer, Observing};
 use crate::policy::{
     FirstFit, InterferenceAware, InterferenceModel, LeastLoaded, PlacementPolicy, PolicyKind,
     RandomPlacement,
 };
-use crate::store::{PlacementStore, ServerCapacity, ServerId, ShardingMode};
-use crate::traffic::{BalancerKind, TrafficPlane};
+use crate::store::{PlacementStore, ServerCapacity, ServerId};
+use crate::traffic::{BalancerKind, RoutingStep, TrafficPlane};
 
 /// Which server-plane stepping core a fleet run uses.
 ///
@@ -87,9 +93,8 @@ use crate::traffic::{BalancerKind, TrafficPlane};
 /// tests); they differ only in wall-clock cost.  `Stepped` is kept as the
 /// oracle: every leaf simulates every measurement window in full.
 /// `EventDriven` lets a leaf whose window inputs are provably unchanged
-/// satisfy its windows through the [`ColoRunner`] steady-state fast path,
-/// and tracks per-leaf wake reasons through the [`Scheduler`] for the
-/// trace's wake-attribution section.
+/// satisfy its windows through the [`ColoRunner`] steady-state fast path;
+/// a traced run attributes each woken leaf to its wake reasons.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum SimCore {
     /// Every in-service leaf simulates every window in full (the oracle).
@@ -172,20 +177,6 @@ pub struct FleetConfig {
     /// Which front-end load balancer routes each service's offered QPS
     /// across its leaves (capacity-weighted by default).
     pub balancer: BalancerKind,
-    /// How the placement store organizes its leaf pools:
-    /// per-(generation × service) shards by default, so placement plans and
-    /// the traffic plane scan pool-local indices instead of the whole
-    /// server table.  [`ShardingMode::Single`] keeps one flat shard — the
-    /// pre-sharding layout, preserved for the shard-equivalence property
-    /// tests (identical seeds must give identical results either way).
-    pub sharding: ShardingMode,
-    /// Whether dispatch plans each step's placements as one batched round
-    /// ([`PlacementPolicy::begin_round`] scores the fleet once per step) —
-    /// the default — or re-scans the fleet per job, exactly like the
-    /// pre-sharding scheduler.  The per-job path is kept as the fleet-size
-    /// benchmark's baseline arm and for the equivalence property tests;
-    /// placements are identical either way.
-    pub batch_dispatch: bool,
     /// Steps a server may sit occupied with BE disabled before its jobs are
     /// preempted and requeued.
     pub preemption_grace_steps: usize,
@@ -197,9 +188,9 @@ pub struct FleetConfig {
     /// The job arrival process.
     pub jobs: JobStreamConfig,
     /// The telemetry plane (disabled by default).  Enabling it records
-    /// structured decision traces, metrics and phase timings without
-    /// perturbing the run: telemetry-on and telemetry-off runs of the same
-    /// seed produce bit-identical [`FleetResult`]s.
+    /// structured decision traces and metrics without perturbing the run:
+    /// telemetry-on and telemetry-off runs of the same seed produce
+    /// bit-identical [`FleetResult`]s.
     pub telemetry: TelemetryConfig,
     /// Which server-plane stepping core runs the leaves (the stepped oracle
     /// by default).  Results are bit-identical either way; `EventDriven`
@@ -240,8 +231,6 @@ impl Default for FleetConfig {
             mix: GenerationMix::homogeneous(),
             services: ServiceMix::websearch_only(),
             balancer: BalancerKind::CapacityWeighted,
-            sharding: ShardingMode::PerPool,
-            batch_dispatch: true,
             preemption_grace_steps: 2,
             tco: TcoModel::paper_case_study(),
             colo: ColoConfig { requests_per_window: 1_200, ..ColoConfig::default() },
@@ -402,26 +391,58 @@ impl FleetConfig {
     }
 }
 
-/// Observation returned by one server's step (computed on a worker thread).
-struct StepObservation {
-    last_emu: f64,
-    last_be_throughput: f64,
-    worst_normalized_latency: f64,
-    mean_normalized_latency: f64,
-    progress_core_s: f64,
-    be_enabled: bool,
-    /// Windows this leaf simulated in full this step (0 ⇒ the leaf was
-    /// quiescent: every window took the steady-state fast path).
-    full_windows: u64,
-    /// Windows satisfied by the fast path this step.
-    fast_windows: u64,
-    /// Package energy this leaf drew over the step's windows, in joules of
-    /// *simulated* time (per-window watts × window seconds; the recorder
-    /// scales by time compression when charging represented energy).
-    energy_j: f64,
-    /// The leaf's maximum per-window package power this step, in watts —
-    /// the per-leaf term of the fleet's conservative peak-draw bound.
-    max_power_w: f64,
+/// One step's index, end time and in-service roster (ascending ids).
+pub(crate) struct StepFrame {
+    pub(crate) idx: usize,
+    pub(crate) now: SimTime,
+    pub(crate) in_service: Vec<ServerId>,
+}
+
+/// What the cap phase applied: the budget, the fleet BE throttle's new
+/// state when it flipped, and every leaf whose RAPL cap changed.
+pub(crate) struct Capped {
+    pub(crate) budget_w: f64,
+    pub(crate) total_tdp_w: f64,
+    pub(crate) throttle_flip: Option<bool>,
+    pub(crate) changed: Vec<(ServerId, Option<f64>)>,
+}
+
+/// The route phase's routing and each in-service leaf's load (roster order).
+pub(crate) struct Routed {
+    routing: RoutingStep,
+    pub(crate) loads: Vec<f64>,
+}
+
+/// Every pending job in dispatch order with the server it landed on and
+/// that server's resident count right after the placement (`None` when no
+/// server admitted it), and the size of the policy's round plan.
+pub(crate) struct Dispatched {
+    pub(crate) outcomes: Vec<(JobId, Option<(ServerId, usize)>)>,
+    pub(crate) plan_candidates: Option<usize>,
+}
+
+/// Each in-service leaf's advance (roster order), and how many leaves ran
+/// at least one full window (woken) or none (quiescent).
+pub(crate) struct Advanced {
+    pub(crate) observations: Vec<LeafAdvance>,
+    pub(crate) woken: u64,
+    pub(crate) quiescent: u64,
+}
+
+/// One job the settle phase completed or preempted; `disabled_streak` is
+/// the server's streak right after the job left.
+pub(crate) enum Settlement {
+    Completed { job: JobId, server: ServerId },
+    Preempted { job: JobId, server: ServerId, disabled_streak: usize },
+}
+
+/// The record phase's derived inputs the shadow planes reuse: represented
+/// step seconds, the $/kWh at the represented hour, and represented joules
+/// per hardware generation.
+pub(crate) struct Recorded {
+    pub(crate) step_s: f64,
+    pub(crate) energy_price: f64,
+    pub(crate) gen_energy_j: [f64; 3],
 }
 
 /// The fleet simulator: servers, the traffic plane, scheduler state and
@@ -451,42 +472,13 @@ pub struct FleetSim {
     /// Migrations committed since the last recorded step (folded into the
     /// next [`FleetStep`]).
     pending_migrations: usize,
-    /// Cumulative wall-clock cost of the control plane (routing + dispatch)
-    /// — kept outside [`FleetStep`] so timing noise can never break the
+    /// Cumulative wall-clock cost of every step phase — kept outside
+    /// [`FleetStep`] so timing noise can never break the
     /// identical-seeds-identical-results determinism contract.
-    profile: ControlPlaneProfile,
-    /// Cumulative wall-clock cost of the parallel leaf-stepping phase and
-    /// the woken/quiescent split — outside [`FleetStep`] for the same
-    /// reason as `profile`.
-    server_profile: ServerPlaneProfile,
-    /// Typed per-leaf wake events (`EventDriven` core only): every producer
-    /// of change schedules a wake here, and the step drains everything due
-    /// to attribute why each woken leaf woke.
-    wakes: Scheduler<ServerId>,
-    /// Each leaf's routed load from the previous step, as exact bits
-    /// (`EventDriven` core only; `None` until a leaf first routes).  A wake
-    /// fires on any bit change — no epsilon: any change to the demand a
-    /// leaf serves is a real change.
-    prev_load_bits: Vec<Option<u64>>,
-    /// The telemetry plane (`None` when `config.telemetry` is disabled):
-    /// the flight recorder every traced component drains into, the metrics
-    /// registry, and the per-phase wall-clock breakdown.  Like `profile`,
-    /// it lives outside the bit-compared result types.
-    telemetry: Option<Telemetry>,
-    /// Per-server admission verdicts after the previous step (telemetry
-    /// only): the baseline the next step diffs so only verdict flips reach
-    /// the recorder.  Empty when telemetry is off.
-    admission_baseline: Vec<bool>,
-    /// Per-server clock offset (telemetry only): a leaf commissioned
-    /// mid-run starts its local clock at zero, so its trace events are
-    /// rebased by its commissioning time to land on the fleet clock.
-    /// Empty when telemetry is off.
-    runner_epochs: Vec<SimDuration>,
-    /// The energy meter's ledgers (`None` unless `config.energy.metering`).
-    /// A pure read-only shadow: it is charged from the same per-leaf
-    /// observations the always-on step columns sum, so installing it
-    /// changes no simulated outcome.
-    meter: Option<EnergyMeter>,
+    profile: PhaseProfile,
+    /// The shadow planes (telemetry, health, energy metering): read-only
+    /// observers of each phase, outside the bit-compared result types.
+    observer: Observer,
     /// The cluster power-cap coordinator (`None` unless
     /// `config.energy.power_cap_w` is set).  Unlike the meter this is a
     /// behavioral knob: it imposes per-leaf RAPL caps and a fleet
@@ -643,7 +635,6 @@ impl FleetSim {
                     .collect()
             })
             .collect();
-        let telemetry = Telemetry::new(config.telemetry);
         let mut runners: Vec<ColoRunner> = (0..config.servers)
             .map(|i| {
                 let (g, svc) = (generations[i].index(), services[i]);
@@ -661,11 +652,6 @@ impl FleetSim {
                 )
             })
             .collect();
-        if telemetry.is_some() {
-            for runner in &mut runners {
-                runner.set_trace(true);
-            }
-        }
         let capacities: Vec<ServerCapacity> = generations
             .iter()
             .zip(&services)
@@ -694,14 +680,14 @@ impl FleetSim {
             provisioned,
             config.time_compression,
         );
-        if telemetry.is_some() {
+        let store = PlacementStore::heterogeneous(&capacities);
+        let observer = Observer::new(&config, &store);
+        if observer.tracing() {
             plane.set_trace(true);
+            for runner in &mut runners {
+                runner.set_trace(true);
+            }
         }
-        let store = PlacementStore::heterogeneous_with_sharding(&capacities, config.sharding);
-        let admission_baseline =
-            if telemetry.is_some() { store.admission_verdicts() } else { Vec::new() };
-        let runner_epochs =
-            if telemetry.is_some() { vec![SimDuration::ZERO; runners.len()] } else { Vec::new() };
         FleetSim {
             plane,
             runners,
@@ -716,14 +702,8 @@ impl FleetSim {
             completed_total: 0,
             step_idx: 0,
             pending_migrations: 0,
-            profile: ControlPlaneProfile::default(),
-            server_profile: ServerPlaneProfile::default(),
-            wakes: Scheduler::new(),
-            prev_load_bits: vec![None; config.servers],
-            telemetry,
-            admission_baseline,
-            runner_epochs,
-            meter: config.energy.metering.then(EnergyMeter::new),
+            profile: PhaseProfile::default(),
+            observer,
             cap_coordinator: config.energy.power_cap_w.map(PowerCapCoordinator::new),
             config,
         }
@@ -773,67 +753,73 @@ impl FleetSim {
         self.queue.pending_ids()
     }
 
-    /// Cumulative wall-clock cost of the control plane (routing + dispatch)
-    /// over the steps run so far.  Pure observability: timings live outside
-    /// [`FleetStep`] so they can never perturb the deterministic results.
-    pub fn control_plane_profile(&self) -> &ControlPlaneProfile {
+    /// Cumulative wall-clock cost of every step phase over the steps run so
+    /// far, with the server plane's woken/quiescent and full/fast-window
+    /// counters.  Pure observability: timings live outside [`FleetStep`] so
+    /// they can never perturb the deterministic results.
+    pub fn profile(&self) -> &PhaseProfile {
         &self.profile
     }
 
-    /// Cumulative wall-clock cost of the server plane (the parallel
-    /// leaf-stepping phase) over the steps run so far, with the
-    /// woken/quiescent and full/fast-window split.  Pure observability,
-    /// outside [`FleetStep`] like the control-plane profile.
+    /// The phase profile (see [`profile`](Self::profile)).
+    pub fn control_plane_profile(&self) -> &ControlPlaneProfile {
+        self.profile()
+    }
+
+    /// The phase profile (see [`profile`](Self::profile)).
     pub fn server_plane_profile(&self) -> &ServerPlaneProfile {
-        &self.server_profile
+        self.profile()
     }
 
-    /// Schedules a wake for leaf `id` at the end of the step about to run
-    /// (a no-op under the stepped core, which never sleeps anyone).  Wakes
-    /// are conservative attribution, not the correctness gate — each
-    /// runner's own window-input comparison decides whether it may
-    /// fast-forward — so waking a leaf that turns out steady costs nothing
-    /// but the wake.
-    fn wake(&mut self, id: ServerId, reason: WakeReason) {
-        if self.config.sim_core != SimCore::EventDriven {
-            return;
-        }
-        let due = SimTime::ZERO + self.config.step_duration() * (self.step_idx as u64 + 1);
-        self.wakes.schedule(due, id, reason);
-    }
-
-    /// Charges autoscale signal-assembly seconds into this fleet's control
-    /// plane profile (and its telemetry phase breakdown, when enabled).
-    /// The elastic controller calls this instead of keeping a private
-    /// accumulator, so every control-plane part is attributed exactly once
-    /// in one place.
+    /// Charges autoscale signal-assembly seconds into this fleet's phase
+    /// profile.  The elastic controller calls this instead of keeping a
+    /// private accumulator, so every phase is attributed exactly once in
+    /// one place.
     pub fn charge_signals_s(&mut self, seconds: f64) {
-        self.profile.charge_signals(seconds);
-        if let Some(t) = self.telemetry.as_mut() {
-            t.phases.charge("signals", seconds);
+        self.profile.signals_s += seconds;
+    }
+
+    /// The shadow-plane observer, split from a read-only view of the
+    /// simulation state it reads.
+    fn observe(&mut self) -> Observing<'_> {
+        Observing {
+            now: self.now(),
+            observer: &mut self.observer,
+            config: &self.config,
+            store: &self.store,
+            plane: &self.plane,
+            queue: &self.queue,
+            steps: &self.steps,
         }
     }
 
     /// The telemetry plane, when the configuration enabled it.
     pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.telemetry.as_ref()
+        self.observer.telemetry.as_ref()
     }
 
     /// Mutable access to the telemetry plane (external controllers record
     /// their own metrics through it).
     pub fn telemetry_mut(&mut self) -> Option<&mut Telemetry> {
-        self.telemetry.as_mut()
+        self.observer.telemetry.as_mut()
     }
 
     /// Detaches the telemetry plane (for writing its artifacts after a run
     /// consumed the simulator's result separately).
     pub fn take_telemetry(&mut self) -> Option<Telemetry> {
-        self.telemetry.take()
+        self.observer.telemetry.take()
     }
 
     /// True when the telemetry plane is collecting.
     pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry.is_some()
+        self.observer.tracing()
+    }
+
+    /// The run's metrics document, with the phase profile as its
+    /// `"phases"` section (`None` when telemetry is off).
+    pub fn metrics_json(&self) -> Option<String> {
+        let telemetry = self.telemetry()?;
+        Some(telemetry.metrics_json_with_phases(&self.profile.phases(), self.profile.steps))
     }
 
     /// Records `event` into the flight recorder, if telemetry is enabled
@@ -841,9 +827,7 @@ impl FleetSim {
     /// this to thread their decision events into the same time-ordered
     /// stream as the fleet's own.
     pub fn emit_trace(&mut self, event: TraceEvent) {
-        if let Some(t) = self.telemetry.as_mut() {
-            t.recorder.record(event);
-        }
+        self.observer.emit(event);
     }
 
     /// Records the health plane's end-of-run summary — per-cell sketch
@@ -853,23 +837,18 @@ impl FleetSim {
     /// last step and before [`FleetSim::take_telemetry`].
     pub fn emit_health_summary(&mut self) {
         let now = self.now();
-        if let Some(t) = self.telemetry.as_mut() {
-            if let Some(h) = t.health.as_ref() {
-                let events = h.summary_events(now);
-                t.recorder.extend(events);
-            }
-        }
+        self.observer.health_summary(now);
     }
 
     /// The energy meter's ledgers, when `config.energy.metering` is on.
     pub fn meter(&self) -> Option<&EnergyMeter> {
-        self.meter.as_ref()
+        self.observer.meter.as_ref()
     }
 
     /// Detaches the energy meter (for writing energy artifacts after a run
     /// consumed the simulator's result separately).
     pub fn take_meter(&mut self) -> Option<EnergyMeter> {
-        self.meter.take()
+        self.observer.meter.take()
     }
 
     /// Records the energy plane's end-of-run summary into the flight
@@ -881,33 +860,7 @@ impl FleetSim {
     /// [`FleetSim::take_telemetry`].
     pub fn emit_energy_summary(&mut self) {
         let now = self.now();
-        let Some(meter) = self.meter.as_ref() else { return };
-        let Some(t) = self.telemetry.as_mut() else { return };
-        let fleet = meter.fleet();
-        t.recorder.record(
-            TraceEvent::new(now, "energy", "summary")
-                .f64("fleet_joules", fleet.joules)
-                .f64("fleet_dollars", fleet.dollars)
-                .u64("observations", meter.observations())
-                .f64("conservation_error_j", meter.conservation_error()),
-        );
-        for ((service, generation), ledger) in meter.pools() {
-            t.recorder.record(
-                TraceEvent::new(now, "energy", "pool")
-                    .str("service", service)
-                    .str("generation", generation)
-                    .f64("joules", ledger.joules)
-                    .f64("dollars", ledger.dollars),
-            );
-        }
-        for (leaf, ledger) in meter.top_leaves(5) {
-            t.recorder.record(
-                TraceEvent::new(now, "energy", "top_leaf")
-                    .u64("server", leaf)
-                    .f64("joules", ledger.joules)
-                    .f64("dollars", ledger.dollars),
-            );
-        }
+        self.observer.energy_summary(now);
     }
 
     /// Index of the next step to run (also: how many steps have run).
@@ -1088,22 +1041,10 @@ impl FleetSim {
         );
         let store_id = self.store.add_server(capacity);
         debug_assert_eq!(store_id, id, "store and runner ids diverged");
-        self.prev_load_bits.push(None);
-        self.wake(id, WakeReason::Lifecycle);
-        if self.telemetry.is_some() {
+        if self.observer.tracing() {
             self.runners[id].set_trace(true);
-            self.admission_baseline.push(true);
-            // The fresh runner's clock starts at zero; rebase its events
-            // by the commissioning time so they land on the fleet clock.
-            self.runner_epochs.push(self.now().saturating_since(SimTime::ZERO));
-            let now = self.now();
-            let event = TraceEvent::new(now, "store", "server_added")
-                .u64("server", id as u64)
-                .u64("generation", gi as u64)
-                .str("service", service.name())
-                .u64("cores", self.store.server(id).cores as u64);
-            self.emit_trace(event);
         }
+        self.observe().server_added(id);
         id
     }
 
@@ -1111,24 +1052,13 @@ impl FleetSim {
     /// BE work, residents to be migrated away.
     pub fn begin_drain(&mut self, id: ServerId) {
         self.store.begin_drain(id);
-        self.wake(id, WakeReason::Lifecycle);
-        if self.telemetry.is_some() {
-            let event = TraceEvent::new(self.now(), "store", "drain_started")
-                .u64("server", id as u64)
-                .u64("residents", self.store.server(id).resident.len() as u64);
-            self.emit_trace(event);
-        }
+        self.observe().lifecycle("drain_started", id);
     }
 
     /// Returns a draining server to active service (a cancelled scale-in).
     pub fn reactivate_server(&mut self, id: ServerId) {
         self.store.reactivate(id);
-        self.wake(id, WakeReason::Lifecycle);
-        if self.telemetry.is_some() {
-            let event =
-                TraceEvent::new(self.now(), "store", "reactivated").u64("server", id as u64);
-            self.emit_trace(event);
-        }
+        self.observe().lifecycle("reactivated", id);
     }
 
     /// Retires a drained server (autoscaler scale-in, phase two): it stops
@@ -1158,10 +1088,7 @@ impl FleetSim {
         if let Some(c) = self.cap_coordinator.as_mut() {
             c.forget(id as u64);
         }
-        if self.telemetry.is_some() {
-            let event = TraceEvent::new(self.now(), "store", "retired").u64("server", id as u64);
-            self.emit_trace(event);
-        }
+        self.observe().lifecycle("retired", id);
     }
 
     /// Live-migrates a resident job from `from` to `to`, preserving its
@@ -1194,19 +1121,7 @@ impl FleetSim {
         });
         self.sync_attachment(from);
         self.sync_attachment(to);
-        self.wake(from, WakeReason::JobCompletion);
-        self.wake(to, WakeReason::JobArrival);
-        if let Some(t) = self.telemetry.as_mut() {
-            t.metrics.inc("fleet.jobs_migrated");
-        }
-        if self.telemetry.is_some() {
-            let event = TraceEvent::new(self.now(), "fleet", "migrate")
-                .u64("job", job as u64)
-                .u64("from", from as u64)
-                .u64("to", to as u64)
-                .f64("cost_core_s", cost_core_s);
-            self.emit_trace(event);
-        }
+        self.observe().migrated(job, from, to, cost_core_s);
     }
 
     /// Preempts a resident job back to the front of the queue — the drain
@@ -1222,16 +1137,7 @@ impl FleetSim {
             kind: FleetEventKind::Preempted,
         });
         self.sync_attachment(from);
-        self.wake(from, WakeReason::JobCompletion);
-        if let Some(t) = self.telemetry.as_mut() {
-            t.metrics.inc("fleet.jobs_preempted");
-        }
-        if self.telemetry.is_some() {
-            let event = TraceEvent::new(self.now(), "fleet", "requeue")
-                .u64("job", job as u64)
-                .u64("from", from as u64);
-            self.emit_trace(event);
-        }
+        self.observe().requeued(job, from);
     }
 
     /// Points the runner's BE workload at its head resident job (or detaches
@@ -1260,132 +1166,151 @@ impl FleetSim {
     /// Runs one scheduler step over the in-service fleet and returns the
     /// recorded step.  Retired servers neither step nor cost TCO; an
     /// elastic controller interleaves scale actions between calls.
+    ///
+    /// The step is the seven phases of the module docs, each followed by
+    /// the shadow-plane observer; one lap clock charges every phase and
+    /// every observer call to its [`PhaseProfile`] field.
     pub fn step_once(&mut self) -> &FleetStep {
-        let step_duration = self.config.step_duration();
-        let window_s = self.config.colo.window.as_secs_f64();
-        let step_idx = self.step_idx;
-        let now = SimTime::ZERO + step_duration * (step_idx as u64 + 1);
+        let frame = self.frame();
+        // A lap clock: each split is the seconds since the previous one, so
+        // back-to-back phases are charged without gaps or overlaps.
+        let mut last = std::time::Instant::now();
+        let mut lap = || {
+            let now = std::time::Instant::now();
+            (now - std::mem::replace(&mut last, now)).as_secs_f64()
+        };
+        let capped = self.cap(&frame);
+        self.profile.cap_s += lap();
+        self.observe().capped(&frame, capped);
+        self.profile.shadow_s += lap();
+        let (routed, route_trace) = self.route(&frame);
+        self.profile.routing_s += lap();
+        self.observe().routed(&frame, route_trace);
+        self.profile.shadow_s += lap();
+        self.arrive(&frame);
+        let dispatched = self.dispatch(&frame);
+        self.profile.dispatch_s += lap();
+        self.observe().dispatched(&frame, dispatched);
+        self.profile.shadow_s += lap();
+        let (advanced, leaf_traces) = self.advance(&frame, &routed);
+        self.profile.servers_s += lap();
+        self.observe().advanced(&frame, &routed.loads, &advanced, leaf_traces);
+        self.profile.shadow_s += lap();
+        let (progress_core_s, settlements) = self.settle(&frame, &advanced);
+        self.profile.settle_s += lap();
+        self.observe().settled(&frame, settlements);
+        self.profile.shadow_s += lap();
+        let recorded = self.record(&frame, &routed, &advanced, progress_core_s);
+        self.profile.record_s += lap();
+        self.observe().recorded(&frame, &routed.loads, &advanced, &recorded);
+        self.profile.shadow_s += lap();
+        self.profile.steps += 1;
+        self.steps.last().expect("the record phase pushed this step")
+    }
 
-        let in_service: Vec<ServerId> =
-            self.store.servers().iter().filter(|s| s.in_service()).map(|s| s.id).collect();
-
-        // 1. Route every service's offered QPS across its in-service
-        // leaves.  Conservation is the traffic plane's contract — what a
-        // retired leaf used to serve must land on the survivors, never
-        // evaporate — so the imbalance is asserted every step, not only in
-        // the property tests.
-        // Telemetry is observation only: events for the step are buffered
-        // here and committed to the flight recorder once, stably sorted by
-        // simulated time (leaf controller events carry mid-step window
-        // times; fleet-level events carry the step's end time), so the
-        // recorded stream is non-decreasing in `t` — the trace schema's
-        // contract.  None of this branches on wall-clock or perturbs the
-        // seeded state, which is what keeps telemetry-on and telemetry-off
-        // runs bit-identical.
-        let tracing = self.telemetry.is_some();
-        let mut step_events: Vec<TraceEvent> = Vec::new();
-        // The health plane is taken out of the bundle for the step so its
-        // observation taps can run alongside borrows of the store, plane
-        // and queue; it is reinstalled in the final telemetry block.  Like
-        // the recorder it is a read-only shadow: nothing below branches on
-        // it, so health-on and health-off runs stay bit-identical.
-        let mut health = self.telemetry.as_mut().and_then(|t| t.health.take());
-
-        // 0. Cluster power capping (only when a budget is configured):
-        // split the watt budget into per-leaf RAPL caps proportional to
-        // TDP, and throttle BE admission fleet-wide when the budget is
-        // tight — Algorithm 3's ordering lifted to the fleet: BE work is
-        // shaved first (admission, then each leaf's DVFS walk-down), LC
-        // guaranteed frequency is touched last, and only as far as each
-        // leaf's own cap requires.  The cap participates in each leaf's
-        // window-input signature, so a changed cap forces full simulation
-        // windows — capping is a behavioral knob, never silently replayed.
-        if let Some(mut coordinator) = self.cap_coordinator.take() {
-            let roster: Vec<(u64, f64)> = in_service
+    /// The frame of the step about to run.
+    fn frame(&self) -> StepFrame {
+        StepFrame {
+            idx: self.step_idx,
+            now: SimTime::ZERO + self.config.step_duration() * (self.step_idx as u64 + 1),
+            in_service: self
+                .store
+                .servers()
                 .iter()
-                .map(|&id| (id as u64, self.runners[id].server().power().tdp_w()))
-                .collect();
-            let plan = coordinator.plan(&roster);
-            if self.store.power_throttled() != plan.throttle_be {
-                self.store.set_power_throttled(plan.throttle_be);
-                if tracing {
-                    step_events.push(
-                        TraceEvent::new(now, "energy", "be_throttle")
-                            .bool("throttled", plan.throttle_be)
-                            .f64("budget_w", plan.budget_w)
-                            .f64("total_tdp_w", plan.total_tdp_w),
-                    );
-                }
-            }
-            // Assignments are in roster order (= ascending in-service id),
-            // or empty when the budget clears the whole roster's TDP.
-            for (i, &id) in in_service.iter().enumerate() {
-                let cap = plan.assignments.get(i).map(|a| {
-                    debug_assert_eq!(a.leaf, id as u64, "cap plan order diverged");
-                    a.cap_w
-                });
-                self.runners[id].set_package_cap_w(cap);
-                if coordinator.note_applied(id as u64, cap) {
-                    self.wake(id, WakeReason::Lifecycle);
-                    if tracing {
-                        step_events.push(
-                            TraceEvent::new(now, "energy", "cap")
-                                .u64("server", id as u64)
-                                .bool("capped", cap.is_some())
-                                .f64("cap_w", cap.unwrap_or(0.0))
-                                .f64("budget_w", plan.budget_w),
-                        );
-                    }
-                }
-            }
-            self.cap_coordinator = Some(coordinator);
+                .filter(|s| s.in_service())
+                .map(|s| s.id)
+                .collect(),
         }
+    }
 
-        let routing_started = std::time::Instant::now();
-        // Demand is sampled on a hold grid: with `demand_hold_steps = n` the
-        // diurnal curve is re-read every n steps and held flat in between,
-        // so a steady fleet's routed loads are bit-stable across the held
-        // span and the leaves can quiesce.  Routing itself still runs every
-        // step (placements and drains shift shares mid-hold); only the
-        // *time* the demand model sees is quantized.  `n = 1` reproduces
-        // the old per-step sampling exactly.
-        let hold = self.config.demand_hold_steps.max(1) as u64;
-        let route_now = SimTime::ZERO + step_duration * ((step_idx as u64 / hold) * hold + 1);
-        // Demand is sampled at the held `route_now`; trace events carry the
+    /// Cap phase (only when a budget is configured): split the watt budget
+    /// into per-leaf RAPL caps proportional to TDP, and throttle BE
+    /// admission fleet-wide when the budget is tight — Algorithm 3's
+    /// ordering lifted to the fleet: BE work is shaved first (admission,
+    /// then each leaf's DVFS walk-down), LC guaranteed frequency is touched
+    /// last, and only as far as each leaf's own cap requires.  The cap
+    /// participates in each leaf's window-input signature, so a changed
+    /// cap forces full simulation windows — capping is a behavioral knob,
+    /// never silently replayed.
+    fn cap(&mut self, frame: &StepFrame) -> Option<Capped> {
+        let coordinator = self.cap_coordinator.as_mut()?;
+        let roster: Vec<(u64, f64)> = frame
+            .in_service
+            .iter()
+            .map(|&id| (id as u64, self.runners[id].server().power().tdp_w()))
+            .collect();
+        let plan = coordinator.plan(&roster);
+        let throttle_flip = (self.store.power_throttled() != plan.throttle_be).then(|| {
+            self.store.set_power_throttled(plan.throttle_be);
+            plan.throttle_be
+        });
+        let mut changed = Vec::new();
+        // Assignments are in roster order (= ascending in-service id), or
+        // empty when the budget clears the whole roster's TDP.
+        for (i, &id) in frame.in_service.iter().enumerate() {
+            let cap = plan.assignments.get(i).map(|a| {
+                debug_assert_eq!(a.leaf, id as u64, "cap plan order diverged");
+                a.cap_w
+            });
+            self.runners[id].set_package_cap_w(cap);
+            if coordinator.note_applied(id as u64, cap) {
+                changed.push((id, cap));
+            }
+        }
+        Some(Capped {
+            budget_w: plan.budget_w,
+            total_tdp_w: plan.total_tdp_w,
+            throttle_flip,
+            changed,
+        })
+    }
+
+    /// Route phase: route every service's offered QPS across its
+    /// in-service leaves and commit the per-leaf loads to the store.
+    /// Conservation is the traffic plane's contract — what a retired leaf
+    /// used to serve must land on the survivors, never evaporate — so the
+    /// imbalance is asserted every step, not only in the property tests.
+    /// Also returns the plane's routing events (empty unless traced).
+    fn route(&mut self, frame: &StepFrame) -> (Routed, Vec<TraceEvent>) {
+        // Demand is sampled on a hold grid: with `demand_hold_steps = n`
+        // the diurnal curve is re-read every n steps and held flat in
+        // between, so a steady fleet's routed loads are bit-stable across
+        // the held span and the leaves can quiesce.  Routing itself still
+        // runs every step (placements and drains shift shares mid-hold);
+        // only the *time* the demand model sees is quantized.  `n = 1`
+        // reproduces per-step sampling exactly.  Trace events carry the
         // step's own end time so the recorded stream stays monotone.
-        let routing = self.plane.route_held(route_now, now, &self.store);
+        let hold = self.config.demand_hold_steps.max(1) as u64;
+        let route_now =
+            SimTime::ZERO + self.config.step_duration() * ((frame.idx as u64 / hold) * hold + 1);
+        let routing = self.plane.route_held(route_now, frame.now, &self.store);
         assert!(
             routing.max_imbalance() < 1e-9,
             "traffic plane failed to conserve demand: routed {:?} of offered {:?}",
             routing.routed_qps,
             routing.offered_qps
         );
-        let loads: Vec<f64> = in_service.iter().map(|&id| routing.loads[id]).collect();
-        for (&id, &load) in in_service.iter().zip(&loads) {
+        let loads: Vec<f64> = frame.in_service.iter().map(|&id| routing.loads[id]).collect();
+        for (&id, &load) in frame.in_service.iter().zip(&loads) {
             self.store.set_load(id, load);
         }
-        let routing_elapsed = routing_started.elapsed().as_secs_f64();
-        self.profile.charge_routing(routing_elapsed);
-        if let Some(t) = self.telemetry.as_mut() {
-            t.phases.charge("routing", routing_elapsed);
-            step_events.extend(self.plane.take_trace());
-        }
-        if let Some(h) = health.as_mut() {
-            let (shed, _) = self.plane.divert_counts();
-            h.observe_signal(AlertKind::DivertStorm, shed as f64 / in_service.len().max(1) as f64);
-        }
+        (Routed { routing, loads }, self.plane.take_trace())
+    }
 
-        // 2. Arrivals.
-        self.queue.arrive(now);
+    /// Arrive phase: admit this step's job arrivals into the queue.
+    fn arrive(&mut self, frame: &StepFrame) {
+        self.queue.arrive(frame.now);
+    }
 
-        // 3. Dispatch: FIFO with skipping, planned as one batch round — the
-        // policy scores the fleet once per step instead of once per job.
-        let dispatch_started = std::time::Instant::now();
+    /// Dispatch phase: FIFO with skipping, planned as one batch round — the
+    /// policy scores the fleet once per step instead of once per job —
+    /// then the round's placements are committed onto the runners.
+    fn dispatch(&mut self, frame: &StepFrame) -> Dispatched {
         let pending = self.queue.take_pending();
-        let round_jobs = pending.len();
-        if self.config.batch_dispatch && !pending.is_empty() {
+        if !pending.is_empty() {
             self.policy.begin_round(&self.store);
         }
+        let mut outcomes = Vec::with_capacity(pending.len());
         let mut unplaced = Vec::new();
         for job_id in pending {
             match self.policy.place(self.queue.job(job_id), &self.store, &mut self.rng) {
@@ -1393,205 +1318,92 @@ impl FleetSim {
                     self.store.place(job_id, server);
                     let job = self.queue.job_mut(job_id);
                     if job.first_start.is_none() {
-                        job.first_start = Some(now);
+                        job.first_start = Some(frame.now);
                     }
                     self.events.push(FleetEvent {
-                        step: step_idx,
+                        step: frame.idx,
                         job: job_id,
                         server,
                         kind: FleetEventKind::Placed,
                     });
-                    self.wake(server, WakeReason::JobArrival);
-                    if let Some(t) = self.telemetry.as_mut() {
-                        t.metrics.inc("fleet.jobs_placed");
-                        let entry = self.store.server(server);
-                        step_events.push(
-                            TraceEvent::new(now, "fleet", "place")
-                                .u64("job", job_id as u64)
-                                .u64("server", server as u64)
-                                .str("service", entry.service.name())
-                                .u64("generation", entry.generation as u64)
-                                .f64("load", entry.lc_load)
-                                .f64("slack", entry.slack)
-                                .u64("residents", entry.resident.len() as u64),
-                        );
-                    }
+                    let residents = self.store.server(server).resident.len();
+                    outcomes.push((job_id, Some((server, residents))));
                 }
                 None => {
-                    if let Some(t) = self.telemetry.as_mut() {
-                        t.metrics.inc("fleet.jobs_unplaced");
-                        step_events.push(
-                            TraceEvent::new(now, "fleet", "unplaced").u64("job", job_id as u64),
-                        );
-                    }
                     unplaced.push(job_id);
+                    outcomes.push((job_id, None));
                 }
             }
         }
-        if tracing && round_jobs > 0 {
-            let mut event = TraceEvent::new(now, "fleet", "dispatch_round")
-                .u64("jobs", round_jobs as u64)
-                .u64("placed", (round_jobs - unplaced.len()) as u64)
-                .u64("unplaced", unplaced.len() as u64)
-                .bool("batched", self.config.batch_dispatch);
-            if let Some(candidates) = self.policy.round_candidates() {
-                event = event.u64("plan_candidates", candidates as u64);
-            }
-            step_events.push(event);
-        }
+        let plan_candidates = self.policy.round_candidates();
         self.queue.restore_pending(unplaced);
-        // Attachment sync commits the round's placements onto the runners,
-        // so it is part of the dispatch phase — timing it outside used to
-        // leak it from the control-plane attribution entirely.
-        for &id in &in_service {
+        for &id in &frame.in_service {
             self.sync_attachment(id);
         }
-        let dispatch_elapsed = dispatch_started.elapsed().as_secs_f64();
-        self.profile.charge_dispatch(dispatch_elapsed);
-        if let Some(t) = self.telemetry.as_mut() {
-            t.phases.charge("dispatch", dispatch_elapsed);
-        }
+        Dispatched { outcomes, plan_candidates }
+    }
 
-        // 4. Advance every in-service server, in parallel.  Retired runners
-        // stay in place (ids must remain dense) but never step.  The
-        // mask-filtered runner iterator ascends by id — exactly the order
-        // of `in_service` and `loads` (and of `observations` below), so
-        // the zip aligns loads with their runners.
+    /// Advance phase: step every in-service server by `windows_per_step`
+    /// windows, in parallel.  Retired runners stay in place (ids must
+    /// remain dense) but never step.  Also returns each traced leaf's
+    /// controller events, drained on its worker (empty unless traced).
+    fn advance(
+        &mut self,
+        frame: &StepFrame,
+        routed: &Routed,
+    ) -> (Advanced, Vec<(ServerId, Vec<TraceEvent>)>) {
         let windows = self.config.windows_per_step;
-        let in_service_mask: Vec<bool> =
-            self.store.servers().iter().map(|s| s.in_service()).collect();
-        // Event core: drain the wake scheduler up to this step's end and
-        // fold in load deltas (exact bit comparison — no epsilon) to build
-        // the per-leaf wake-reason bitmask.  The mask is *attribution*, not
-        // the correctness gate: every leaf still advances through
-        // [`ColoRunner::advance`], whose fast path re-verifies its own
+        // On the event core each runner's fast path re-verifies its own
         // steady-state preconditions bit-exactly and falls back to full
-        // windows whenever any controller could act.  A leaf that stepped
-        // fully without a scheduled reason is attributed to the
-        // controller's own poll cadence below.
+        // windows whenever any controller could act.
         let event_core = self.config.sim_core == SimCore::EventDriven;
-        let mut wake_reasons: Vec<u8> = vec![0; self.runners.len()];
-        if event_core {
-            for (id, reason) in self.wakes.advance_to(now) {
-                if in_service_mask.get(id).copied().unwrap_or(false) {
-                    wake_reasons[id] |= 1 << reason.index();
-                }
-            }
-            for (&id, &load) in in_service.iter().zip(&loads) {
-                if self.prev_load_bits[id] != Some(load.to_bits()) {
-                    wake_reasons[id] |= 1 << WakeReason::LoadDelta.index();
-                }
-                self.prev_load_bits[id] = Some(load.to_bits());
-            }
-        }
+        // The roster ascends by id, so filtering the runners by it keeps
+        // each runner aligned with its routed load (and its observation).
+        let mut roster = frame.in_service.iter().peekable();
         let mut paired: Vec<(f64, &mut ColoRunner)> = self
             .runners
             .iter_mut()
             .enumerate()
-            .filter(|(id, _)| in_service_mask[*id])
-            .zip(loads.iter().copied())
+            .filter(|(id, _)| roster.next_if_eq(&id).is_some())
+            .zip(routed.loads.iter().copied())
             .map(|((_, runner), load)| (load, runner))
             .collect();
-        debug_assert_eq!(paired.len(), in_service.len());
-        let servers_started = std::time::Instant::now();
-        let observations: Vec<StepObservation> = parallel_map_mut(&mut paired, |entry| {
-            let (load, runner) = (entry.0, &mut *entry.1);
-            let adv = runner.advance(load, windows, event_core);
-            StepObservation {
-                last_emu: adv.last_emu,
-                last_be_throughput: adv.last_be_throughput,
-                worst_normalized_latency: adv.worst_normalized_latency,
-                mean_normalized_latency: adv.mean_normalized_latency,
-                progress_core_s: adv.be_progress_core_s,
-                be_enabled: adv.be_enabled,
-                full_windows: adv.full_windows,
-                fast_windows: adv.fast_windows,
-                energy_j: adv.energy_j,
-                max_power_w: adv.max_power_w,
-            }
+        debug_assert_eq!(paired.len(), frame.in_service.len());
+        let observations = parallel_map_mut(&mut paired, |(load, runner)| {
+            runner.advance(*load, windows, event_core)
         });
-        if tracing {
-            // Drain each leaf controller's decision events, in ascending
-            // server-id order (the parallel section buffered them inside
-            // each policy, so drain order — not worker scheduling — fixes
-            // the recorded order), annotating each with its server id.
-            for (&id, entry) in in_service.iter().zip(paired.iter_mut()) {
-                let epoch = self.runner_epochs.get(id).copied().unwrap_or(SimDuration::ZERO);
-                for event in entry.1.take_trace() {
-                    step_events.push(event.shifted(epoch).u64("server", id as u64));
-                }
+        // Drain each leaf controller's decision events in ascending id
+        // order (the parallel section buffered them inside each policy, so
+        // drain order — not worker scheduling — fixes the recorded order).
+        let mut leaf_traces = Vec::new();
+        for (&id, (_, runner)) in frame.in_service.iter().zip(&mut paired) {
+            let events = runner.take_trace();
+            if !events.is_empty() {
+                leaf_traces.push((id, events));
             }
         }
-        let servers_elapsed = servers_started.elapsed().as_secs_f64();
-        // Wake attribution: any leaf that ran a full window with no
-        // scheduled reason woke on its controller's own poll cadence
-        // (steady-state recertification, SLO deque warm-up, a sub-controller
-        // changing an allocation).  After this pass every woken leaf has at
-        // least one recorded reason — the trace report's invariant.
         let woken = observations.iter().filter(|o| o.full_windows > 0).count() as u64;
         let quiescent = observations.len() as u64 - woken;
-        let full_windows_total: u64 = observations.iter().map(|o| o.full_windows).sum();
-        let fast_windows_total: u64 = observations.iter().map(|o| o.fast_windows).sum();
-        self.server_profile.charge_step(
-            servers_elapsed,
-            woken,
-            quiescent,
-            full_windows_total,
-            fast_windows_total,
-        );
-        if event_core {
-            for (&id, obs) in in_service.iter().zip(&observations) {
-                if obs.full_windows > 0 && wake_reasons[id] == 0 {
-                    wake_reasons[id] |= 1 << WakeReason::ControllerPoll.index();
-                }
-            }
-            if tracing {
-                for (&id, obs) in in_service.iter().zip(&observations) {
-                    if obs.full_windows == 0 {
-                        continue;
-                    }
-                    let mask = wake_reasons[id];
-                    let names: Vec<&'static str> = WakeReason::ALL
-                        .iter()
-                        .filter(|r| mask & (1 << r.index()) != 0)
-                        .map(|r| r.name())
-                        .collect();
-                    step_events.push(
-                        TraceEvent::new(now, "fleet", "wake")
-                            .u64("server", id as u64)
-                            .str("reasons", &names.join("+"))
-                            .u64("full_windows", obs.full_windows)
-                            .u64("fast_windows", obs.fast_windows),
-                    );
-                }
-            }
-        }
-        if let Some(t) = self.telemetry.as_mut() {
-            t.phases.charge("servers", servers_elapsed);
-            if event_core {
-                t.metrics.add("fleet.woken_leaf_steps", woken);
-                t.metrics.add("fleet.quiescent_leaf_steps", quiescent);
-            }
-        }
-        if event_core {
-            if let Some(h) = health.as_mut() {
-                h.observe_signal(
-                    AlertKind::WakeStorm,
-                    woken as f64 / (woken + quiescent).max(1) as f64,
-                );
-            }
-        }
-        let bookkeeping_started = std::time::Instant::now();
+        self.profile.woken_leaf_steps += woken;
+        self.profile.quiescent_leaf_steps += quiescent;
+        self.profile.full_windows += observations.iter().map(|o| o.full_windows).sum::<u64>();
+        self.profile.fast_windows += observations.iter().map(|o| o.fast_windows).sum::<u64>();
+        (Advanced { observations, woken, quiescent }, leaf_traces)
+    }
 
-        // 5. Credit progress, complete, preempt; 6. refresh the store.
-        let mut step_progress = 0.0;
-        for (&id, obs) in in_service.iter().zip(&observations) {
+    /// Settle phase: credit progress, complete, preempt, and refresh the
+    /// store with each leaf's observation.  Returns the BE core·seconds
+    /// resident jobs absorbed and every completion and preemption, in order.
+    fn settle(&mut self, frame: &StepFrame, advanced: &Advanced) -> (f64, Vec<Settlement>) {
+        let mut progress_core_s = 0.0;
+        let mut settlements = Vec::new();
+        for (&id, obs) in frame.in_service.iter().zip(&advanced.observations) {
             let resident = self.store.server(id).resident.clone();
             // Split the step's progress evenly across residents,
             // redistributing overshoot past a job's remaining demand to
             // its co-residents; only work actually absorbed counts as
             // served.
-            let mut budget = obs.progress_core_s;
+            let mut budget = obs.be_progress_core_s;
             if !resident.is_empty() {
                 let mut open = resident.clone();
                 while budget > 1e-9 && !open.is_empty() {
@@ -1602,7 +1414,7 @@ impl FleetSim {
                         let job = self.queue.job_mut(job_id);
                         let take = share.min(job.remaining_core_s.max(0.0));
                         job.remaining_core_s -= take;
-                        step_progress += take;
+                        progress_core_s += take;
                         if take < share {
                             budget += share - take;
                         } else if !job.is_complete() {
@@ -1614,28 +1426,21 @@ impl FleetSim {
             }
             for &job_id in &resident {
                 if self.queue.job(job_id).is_complete() {
-                    self.queue.job_mut(job_id).completion = Some(now);
+                    self.queue.job_mut(job_id).completion = Some(frame.now);
                     self.store.release(job_id, id);
                     self.completed_total += 1;
                     self.events.push(FleetEvent {
-                        step: step_idx,
+                        step: frame.idx,
                         job: job_id,
                         server: id,
                         kind: FleetEventKind::Completed,
                     });
-                    if let Some(t) = self.telemetry.as_mut() {
-                        t.metrics.inc("fleet.jobs_completed");
-                        step_events.push(
-                            TraceEvent::new(now, "fleet", "complete")
-                                .u64("job", job_id as u64)
-                                .u64("server", id as u64),
-                        );
-                    }
+                    settlements.push(Settlement::Completed { job: job_id, server: id });
                 }
             }
             self.store.observe(
                 id,
-                now,
+                frame.now,
                 1.0 - obs.worst_normalized_latency,
                 obs.last_emu,
                 obs.last_be_throughput,
@@ -1650,37 +1455,44 @@ impl FleetSim {
                     self.store.release(job_id, id);
                     self.queue.requeue_front(job_id);
                     self.events.push(FleetEvent {
-                        step: step_idx,
+                        step: frame.idx,
                         job: job_id,
                         server: id,
                         kind: FleetEventKind::Preempted,
                     });
-                    if let Some(t) = self.telemetry.as_mut() {
-                        t.metrics.inc("fleet.jobs_preempted");
-                        step_events.push(
-                            TraceEvent::new(now, "fleet", "preempt")
-                                .u64("job", job_id as u64)
-                                .u64("server", id as u64)
-                                .u64(
-                                    "disabled_streak",
-                                    self.store.server(id).disabled_streak as u64,
-                                ),
-                        );
-                    }
+                    settlements.push(Settlement::Preempted {
+                        job: job_id,
+                        server: id,
+                        disabled_streak: self.store.server(id).disabled_streak,
+                    });
                 }
             }
             self.sync_attachment(id);
         }
+        (progress_core_s, settlements)
+    }
 
-        // 7. Record the step.  Utilization aggregates are core-weighted
-        // over the in-service fleet: on a mixed fleet a big box's windows
-        // represent more machine time than a small box's, and a retired
-        // box represents none.  The TCO column charges each in-service
-        // server its amortized capex plus energy at its achieved EMU, over
-        // the wall time the step *represents* (see
-        // [`FleetConfig::time_compression`]).
-        let step_s = window_s * windows as f64 * self.config.time_compression;
-        let cores: Vec<usize> = in_service.iter().map(|&id| self.store.server(id).cores).collect();
+    /// Record phase: aggregate the step into a [`FleetStep`].  Utilization
+    /// aggregates are core-weighted over the in-service fleet: on a mixed
+    /// fleet a big box's windows represent more machine time than a small
+    /// box's, and a retired box represents none.  The TCO column charges
+    /// each in-service server its amortized capex plus energy at its
+    /// achieved EMU, over the wall time the step *represents* (see
+    /// [`FleetConfig::time_compression`]).
+    fn record(
+        &mut self,
+        frame: &StepFrame,
+        routed: &Routed,
+        advanced: &Advanced,
+        be_progress_core_s: f64,
+    ) -> Recorded {
+        let (loads, observations) = (&routed.loads, &advanced.observations);
+        let compression = self.config.time_compression;
+        let step_s = self.config.colo.window.as_secs_f64()
+            * self.config.windows_per_step as f64
+            * compression;
+        let cores: Vec<usize> =
+            frame.in_service.iter().map(|&id| self.store.server(id).cores).collect();
         let emus: Vec<f64> = observations.iter().map(|o| o.last_emu).collect();
         let violating = observations.iter().filter(|o| o.worst_normalized_latency > 1.0).count();
         // Per-service aggregation: load is core-weighted within each
@@ -1695,61 +1507,20 @@ impl FleetSim {
         // cannot perturb the result.  Each leaf's simulated joule integral
         // is scaled to the wall time the step *represents*, and the step's
         // $/kWh comes from the time-of-day tariff at the represented hour.
-        let energy_price = self
-            .config
-            .energy
-            .price
-            .price_at(hour_of_day(now.as_secs_f64() * self.config.time_compression));
+        let energy_price =
+            self.config.energy.price.price_at(hour_of_day(frame.now.as_secs_f64() * compression));
         let mut energy_joules = 0.0f64;
         let mut gen_energy_j = [0.0f64; 3];
-        for ((&id, obs), &load) in in_service.iter().zip(&observations).zip(&loads) {
+        for ((&id, obs), &load) in frame.in_service.iter().zip(observations).zip(loads) {
             let entry = self.store.server(id);
             let si = entry.service.index();
             service_load_weighted[si] += load * entry.cores as f64;
             service_cores[si] += entry.cores as f64;
-            let leaf_joules = obs.energy_j * self.config.time_compression;
+            let leaf_joules = obs.energy_j * compression;
             energy_joules += leaf_joules;
             gen_energy_j[entry.generation] += leaf_joules;
-            if let Some(m) = self.meter.as_mut() {
-                let leaf_dollars =
-                    joules_to_dollars(leaf_joules, energy_price, self.config.energy.pue);
-                m.observe_leaf(
-                    id as u64,
-                    entry.service.name(),
-                    Generation::all()[entry.generation].name(),
-                    leaf_joules,
-                    leaf_dollars,
-                );
-            }
-            if let Some(h) = health.as_mut() {
-                h.observe_cell(
-                    si as u8,
-                    entry.generation as u8,
-                    obs.worst_normalized_latency,
-                    obs.mean_normalized_latency,
-                    load,
-                );
-                h.observe_leaf(id as u32, obs.worst_normalized_latency, obs.full_windows as f64);
-            }
             if obs.worst_normalized_latency > 1.0 {
                 violating_by_service[si] += 1;
-                if tracing {
-                    // The attribution record the trace report aggregates:
-                    // every violating server-step names its service, its
-                    // hardware generation and what the balancer did to it
-                    // this step — the (service, generation, decision)
-                    // cause cell.
-                    step_events.push(
-                        TraceEvent::new(now, "fleet", "violation")
-                            .u64("server", id as u64)
-                            .str("service", entry.service.name())
-                            .u64("generation", entry.generation as u64)
-                            .str("balancer", self.plane.decision(id))
-                            .f64("normalized_latency", obs.worst_normalized_latency)
-                            .f64("load", load)
-                            .u64("residents", entry.resident.len() as u64),
-                    );
-                }
             }
         }
         let mut service_load = [0.0f64; NUM_SERVICES];
@@ -1758,9 +1529,10 @@ impl FleetSim {
                 service_load[i] = service_load_weighted[i] / service_cores[i];
             }
         }
-        let tco_dollars = in_service
+        let tco_dollars = frame
+            .in_service
             .iter()
-            .zip(&observations)
+            .zip(observations)
             .map(|(&id, o)| {
                 server_step_tco_dollars(
                     &self.config.tco,
@@ -1776,21 +1548,21 @@ impl FleetSim {
         // compliance by keeping even this bound at or under the budget.
         let peak_power_w: f64 = observations.iter().map(|o| o.max_power_w).sum();
         self.steps.push(FleetStep {
-            time: now,
-            mean_load: core_weighted_mean(&loads, &cores),
+            time: frame.now,
+            mean_load: core_weighted_mean(loads, &cores),
             fleet_emu: core_weighted_mean(&emus, &cores),
             worst_normalized_latency: observations
                 .iter()
                 .map(|o| o.worst_normalized_latency)
                 .fold(0.0, f64::max),
-            violating_server_fraction: violating as f64 / in_service.len().max(1) as f64,
+            violating_server_fraction: violating as f64 / frame.in_service.len().max(1) as f64,
             violating_servers: violating,
-            in_service_servers: in_service.len(),
+            in_service_servers: frame.in_service.len(),
             in_service_cores: cores.iter().sum(),
             in_service_by_generation: self.store.in_service_by_generation(),
             in_service_by_service: self.store.in_service_by_service(),
-            offered_qps: routing.offered_qps,
-            routed_qps: routing.routed_qps,
+            offered_qps: routed.routing.offered_qps,
+            routed_qps: routed.routing.routed_qps,
             service_load,
             violating_by_service,
             migrations: std::mem::take(&mut self.pending_migrations),
@@ -1801,128 +1573,10 @@ impl FleetSim {
             queued_jobs: self.queue.pending_len(),
             running_jobs: self.store.running_jobs(),
             completed_jobs: self.completed_total,
-            be_progress_core_s: step_progress,
+            be_progress_core_s,
         });
         self.step_idx += 1;
-        self.profile.steps += 1;
-        if tracing {
-            // Admission verdicts settle once the observe loop above has
-            // absorbed the step: record only the flips against the previous
-            // step's baseline (a purchased server extends the baseline as
-            // admitting, matching its cold-start verdict).
-            let verdicts = self.store.admission_verdicts();
-            for (id, &verdict) in verdicts.iter().enumerate() {
-                if self.admission_baseline.get(id).copied().unwrap_or(true) != verdict {
-                    step_events.push(self.store.server(id).admission_trace(now));
-                    if let Some(t) = self.telemetry.as_mut() {
-                        t.metrics.inc("fleet.admission_flips");
-                    }
-                }
-            }
-            self.admission_baseline = verdicts;
-        }
-        let recorded = self.steps.last().expect("just pushed");
-        if let Some(h) = health.as_mut() {
-            // SLO burn: the fraction of in-service leaves violating this
-            // step — the attainment complement the burn-rate windows watch.
-            h.observe_signal(AlertKind::SloBurn, violating as f64 / in_service.len().max(1) as f64);
-            // Queue censorship: pending jobs that have waited beyond the
-            // horizon (8 steps) — work the dispatcher keeps skipping.
-            let pending = self.queue.pending_len();
-            if pending > 0 {
-                let horizon = step_duration * 8;
-                let censored = self
-                    .queue
-                    .pending_ids()
-                    .filter(|&jid| now > self.queue.job(jid).arrival + horizon)
-                    .count();
-                h.observe_signal(AlertKind::QueueCensorship, censored as f64 / pending as f64);
-            }
-            // Per-service attainment: one event per populated service so a
-            // report can draw the attainment curve without re-aggregating
-            // violation events (which the recorder may have dropped).
-            for (si, &leaves) in recorded.in_service_by_service.iter().enumerate() {
-                if leaves == 0 {
-                    continue;
-                }
-                let violating_s = violating_by_service[si];
-                step_events.push(
-                    TraceEvent::new(now, "health", "attainment")
-                        .str("service", LcKind::all()[si].name())
-                        .u64("leaves", leaves as u64)
-                        .u64("violating", violating_s as u64)
-                        .f64("attainment", 1.0 - violating_s as f64 / leaves as f64),
-                );
-            }
-            let alert_events = h.step(now);
-            if let Some(t) = self.telemetry.as_mut() {
-                for event in &alert_events {
-                    match event.kind() {
-                        "firing" => t.metrics.inc("health.alerts_fired"),
-                        "resolved" => t.metrics.inc("health.alerts_resolved"),
-                        _ => {}
-                    }
-                }
-            }
-            step_events.extend(alert_events);
-        }
-        if let Some(t) = self.telemetry.as_mut() {
-            t.health = health.take();
-        }
-        if let Some(t) = self.telemetry.as_mut() {
-            let mut step_event = TraceEvent::new(now, "fleet", "step")
-                .u64("step", step_idx as u64)
-                .u64("in_service", recorded.in_service_servers as u64)
-                .u64("violating", recorded.violating_servers as u64)
-                .f64("mean_load", recorded.mean_load)
-                .f64("fleet_emu", recorded.fleet_emu)
-                .f64("worst_normalized_latency", recorded.worst_normalized_latency)
-                .u64("queued", recorded.queued_jobs as u64)
-                .u64("running", recorded.running_jobs as u64)
-                .u64("completed", recorded.completed_jobs as u64)
-                .u64("migrations", recorded.migrations as u64)
-                .f64("tco_dollars", recorded.tco_dollars)
-                .f64("be_progress_core_s", recorded.be_progress_core_s)
-                .f64("energy_joules", recorded.energy_joules)
-                .f64("energy_dollars", recorded.energy_dollars)
-                .f64("peak_power_w", recorded.peak_power_w)
-                .f64("watts_sandy_bridge", gen_energy_j[0] / step_s)
-                .f64("watts_haswell", gen_energy_j[1] / step_s)
-                .f64("watts_skylake", gen_energy_j[2] / step_s)
-                // The represented step duration the watts are averaged
-                // over: trace timestamps tick raw simulation seconds, so a
-                // time-compressed run needs this to integrate watts back
-                // into joules (the doctor's conservation cross-check).
-                .f64("step_represented_s", step_s);
-            if event_core {
-                step_event = step_event.u64("woken", woken).u64("quiescent", quiescent);
-            }
-            step_events.push(step_event);
-            t.metrics.add("fleet.violation_server_steps", recorded.violating_servers as u64);
-            t.metrics.set_gauge("fleet.queue_depth", recorded.queued_jobs as f64);
-            t.metrics.set_gauge("fleet.running_jobs", recorded.running_jobs as f64);
-            t.metrics.set_gauge("fleet.in_service_servers", recorded.in_service_servers as f64);
-            t.metrics.observe("fleet.step_tco_dollars", recorded.tco_dollars);
-            t.metrics.set_gauge_with_unit("fleet.peak_power_w", recorded.peak_power_w, "W");
-            t.metrics.set_gauge_with_unit(
-                "fleet.mean_power_w",
-                recorded.energy_joules / step_s,
-                "W",
-            );
-            t.metrics.observe("fleet.step_energy_joules", recorded.energy_joules);
-            for obs in &observations {
-                t.metrics.observe("fleet.normalized_latency", obs.worst_normalized_latency);
-            }
-            t.phases.charge("bookkeeping", bookkeeping_started.elapsed().as_secs_f64());
-            t.phases.bump_steps();
-            // One stable sort restores global time order: leaf events carry
-            // mid-step window times, fleet events the step's end time, and
-            // ties keep their emission order — deterministic whatever the
-            // worker threads did.
-            step_events.sort_by_key(|e| e.time());
-            t.recorder.extend(step_events);
-        }
-        recorded
+        Recorded { step_s, energy_price, gen_energy_j }
     }
 
     /// Consumes the simulator into its final result.
@@ -2320,17 +1974,52 @@ mod tests {
     #[test]
     fn plain_fleet_runs_charge_no_signal_time() {
         // Signal assembly belongs to the autoscaler; a standalone FleetSim
-        // must never charge it, and its parts must still sum to the total.
+        // must never charge it.
         let mut sim = FleetSim::new(tiny(), ServerConfig::default_haswell(), PolicyKind::FirstFit);
         for _ in 0..tiny().steps {
             sim.step_once();
         }
-        let profile = sim.control_plane_profile();
+        let profile = sim.profile();
         assert_eq!(profile.signals_s, 0.0);
         assert_eq!(profile.steps, tiny().steps);
         assert!(profile.routing_s > 0.0 && profile.dispatch_s > 0.0);
-        let total = profile.control_plane_s();
-        assert!((total - profile.recorded_total_s()).abs() <= 1e-9 * total.max(1e-12));
+    }
+
+    #[test]
+    fn every_phase_is_charged_once_per_step_within_its_wall_time() {
+        // Every shadow plane and a binding power cap, so every phase and
+        // every observer hook has real work to time.
+        let cfg = FleetConfig {
+            telemetry: TelemetryConfig::with_health(),
+            sim_core: SimCore::EventDriven,
+            energy: EnergyConfig::capped(800.0),
+            ..tiny()
+        };
+        let mut sim = FleetSim::new(cfg, ServerConfig::default_haswell(), PolicyKind::LeastLoaded);
+        for step in 0..cfg.steps {
+            let before = *sim.profile();
+            let started = std::time::Instant::now();
+            sim.step_once();
+            let wall_s = started.elapsed().as_secs_f64();
+            let after = *sim.profile();
+            assert_eq!(after.steps, step + 1, "one step, one profiled step");
+            let charged = after.total_s() - before.total_s();
+            assert!(charged <= wall_s, "step {step}: charged {charged}s > wall {wall_s}s");
+            for ((name, a), (_, b)) in after.phases().iter().zip(before.phases()) {
+                assert!(a >= &b, "{name} went backwards");
+            }
+        }
+        let profile = sim.profile();
+        for (name, seconds) in profile.phases() {
+            if name != "signals" {
+                assert!(seconds > 0.0, "phase {name} was never charged");
+            }
+        }
+        assert_eq!(profile.signals_s, 0.0);
+        assert_eq!(
+            profile.woken_leaf_steps + profile.quiescent_leaf_steps,
+            (cfg.servers * cfg.steps) as u64
+        );
     }
 
     #[test]

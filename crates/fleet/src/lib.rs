@@ -35,9 +35,12 @@
 //! * [`fleet`] — the [`FleetSim`] discrete-time simulator: dispatch,
 //!   parallel per-server stepping, job completion and preemption/requeue
 //!   when a leaf's controller disables BE,
+//! * `observe` — the shadow-plane observer: telemetry, the health plane
+//!   and the energy meter watch each step phase through read-only views,
 //! * [`metrics`] — [`FleetResult`]: BE throughput, queueing delay (with
 //!   censored-job accounting), core-weighted fleet EMU, SLO violation rate
-//!   and throughput/TCO via the paper's TCO model.
+//!   and throughput/TCO via the paper's TCO model, plus the always-on
+//!   [`PhaseProfile`] of each step's wall time.
 //!
 //! # Example
 //!
@@ -62,6 +65,7 @@ pub mod fleet;
 pub mod generation;
 pub mod job;
 pub mod metrics;
+mod observe;
 pub mod policy;
 pub mod store;
 pub mod traffic;
@@ -76,16 +80,14 @@ pub use heracles_telemetry::{Telemetry, TelemetryConfig};
 pub use job::{BeJob, JobId, JobMix, JobQueue, JobStreamConfig};
 pub use metrics::{
     core_weighted_mean, server_step_tco_dollars, ControlPlaneProfile, FleetEvent, FleetEventKind,
-    FleetResult, FleetStep, QueueingDelaySummary, ServerPlaneProfile, PLATFORM_COST_FLOOR,
-    SECONDS_PER_YEAR,
+    FleetResult, FleetStep, PhaseProfile, QueueingDelaySummary, ServerPlaneProfile,
+    PLATFORM_COST_FLOOR, SECONDS_PER_YEAR,
 };
 pub use policy::{
     marginal_headroom_cores, FirstFit, InterferenceAware, InterferenceModel, LeastLoaded,
     PlacementPolicy, PolicyKind, RandomPlacement,
 };
-pub use store::{
-    PlacementStore, PoolShard, ServerCapacity, ServerEntry, ServerId, ServerState, ShardingMode,
-};
+pub use store::{PlacementStore, PoolShard, ServerCapacity, ServerEntry, ServerId, ServerState};
 pub use traffic::{
     BalancerKind, CapacityWeighted, LeafView, LoadBalancer, RoutingStep, SlackAware, TrafficPlane,
 };

@@ -61,92 +61,38 @@ pub fn server_step_tco_dollars(tco: &TcoModel, cores: usize, utilization: f64, s
     annual * step_s / SECONDS_PER_YEAR
 }
 
-/// Cumulative wall-clock cost of the scheduler's control plane over a run:
-/// the traffic-routing and dispatch phases of every step, plus (for an
-/// elastic run) the autoscaler's signal assembly.  This is the per-step
-/// cost the fleet-size benchmark tracks — the server plane parallelizes
-/// across cores, so at warehouse scale the control plane is what bounds a
-/// step.
+/// Cumulative wall-clock cost of every phase of the fleet step, plus the
+/// server plane's woken/quiescent and full/fast-window counters: the one
+/// always-on profile behind the benchmarks and the metrics document's
+/// `"phases"` section.
 ///
-/// Timings deliberately live outside [`FleetStep`] and [`FleetResult`]:
-/// those are compared bit-for-bit by the determinism and shard-equivalence
-/// tests, and wall-clock noise must never be able to break them.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct ControlPlaneProfile {
-    /// Seconds spent routing each service's offered QPS onto its leaves
+/// [`FleetSim::step_once`](crate::FleetSim::step_once) times its phases
+/// back to back with one lap clock, so each is charged exactly once per
+/// step and the parts never sum past the step's wall time.  Timings live
+/// outside [`FleetStep`] and [`FleetResult`], which are compared
+/// bit-for-bit by the determinism and cross-core tests.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct PhaseProfile {
+    /// Seconds planning and applying the cluster power cap.
+    pub cap_s: f64,
+    /// Seconds routing each service's offered QPS onto its leaves
     /// (including committing the per-leaf loads to the store).
     pub routing_s: f64,
-    /// Seconds spent planning and committing BE placements (the policy's
-    /// round plan, the per-job placement loop, and syncing each runner's
-    /// BE attachment to the committed placements).
+    /// Seconds admitting arrivals, planning and committing BE placements,
+    /// and syncing each runner's BE attachment to them.
     pub dispatch_s: f64,
-    /// Seconds spent assembling autoscale signals.  Zero for a plain fleet
-    /// run; the elastic controller charges it through the fleet's
-    /// [`FleetSim::charge_signals_s`](crate::FleetSim::charge_signals_s),
-    /// so one profile owns every part exactly once.
+    /// Seconds assembling autoscale signals (zero for a plain fleet run).
     pub signals_s: f64,
-    /// Steps profiled so far.
-    pub steps: usize,
-    /// Every second charged through the `charge_*` methods, accumulated
-    /// independently of the per-part fields.  Writing a part field directly
-    /// (the overwrite-merge bug this guards against) desyncs it from the
-    /// part sum, which the exactly-once unit test catches.
-    recorded_total_s: f64,
-}
-
-impl ControlPlaneProfile {
-    /// Charges routing seconds (attributed exactly once per step).
-    pub fn charge_routing(&mut self, seconds: f64) {
-        self.routing_s += seconds;
-        self.recorded_total_s += seconds;
-    }
-
-    /// Charges dispatch seconds (attributed exactly once per step).
-    pub fn charge_dispatch(&mut self, seconds: f64) {
-        self.dispatch_s += seconds;
-        self.recorded_total_s += seconds;
-    }
-
-    /// Charges autoscale signal-assembly seconds.
-    pub fn charge_signals(&mut self, seconds: f64) {
-        self.signals_s += seconds;
-        self.recorded_total_s += seconds;
-    }
-
-    /// Seconds charged through the `charge_*` methods.  Equal (up to float
-    /// summation order) to [`control_plane_s`](Self::control_plane_s) as
-    /// long as every part was charged exactly once.
-    pub fn recorded_total_s(&self) -> f64 {
-        self.recorded_total_s
-    }
-
-    /// Total control-plane seconds (routing + dispatch + signals).
-    pub fn control_plane_s(&self) -> f64 {
-        self.routing_s + self.dispatch_s + self.signals_s
-    }
-
-    /// Mean control-plane milliseconds per step (0.0 before any step ran).
-    pub fn per_step_ms(&self) -> f64 {
-        if self.steps == 0 {
-            return 0.0;
-        }
-        self.control_plane_s() * 1e3 / self.steps as f64
-    }
-}
-
-/// Cumulative wall-clock cost of the server plane over a run — the parallel
-/// leaf-stepping phase of every step — together with how much of that work
-/// the event-driven core actually performed versus skipped.
-///
-/// Like [`ControlPlaneProfile`], these timings and counters deliberately
-/// live outside [`FleetStep`] and [`FleetResult`]: those are compared
-/// bit-for-bit between the `Stepped` and `EventDriven` cores, and neither
-/// wall-clock noise nor the (intentionally core-dependent) wake counts may
-/// break that comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct ServerPlaneProfile {
-    /// Seconds spent in the parallel leaf-stepping phase.
+    /// Seconds in the parallel leaf-stepping phase.
     pub servers_s: f64,
+    /// Seconds crediting BE progress, completing and preempting jobs, and
+    /// refreshing the store.
+    pub settle_s: f64,
+    /// Seconds aggregating and recording the step.
+    pub record_s: f64,
+    /// Seconds in the shadow-plane observer (telemetry, health, energy
+    /// metering) across all phases.
+    pub shadow_s: f64,
     /// Steps profiled so far.
     pub steps: usize,
     /// Leaf-steps where the leaf ran at least one full simulation window
@@ -160,38 +106,45 @@ pub struct ServerPlaneProfile {
     pub fast_windows: u64,
 }
 
-impl ServerPlaneProfile {
-    /// Charges one step's leaf-stepping seconds and per-leaf path counts.
-    pub fn charge_step(
-        &mut self,
-        seconds: f64,
-        woken_leaves: u64,
-        quiescent_leaves: u64,
-        full_windows: u64,
-        fast_windows: u64,
-    ) {
-        self.servers_s += seconds;
-        self.steps += 1;
-        self.woken_leaf_steps += woken_leaves;
-        self.quiescent_leaf_steps += quiescent_leaves;
-        self.full_windows += full_windows;
-        self.fast_windows += fast_windows;
+/// The profile under its control-plane name (routing, dispatch, signals).
+pub type ControlPlaneProfile = PhaseProfile;
+
+/// The profile under its server-plane name (leaf stepping and counters).
+pub type ServerPlaneProfile = PhaseProfile;
+
+impl PhaseProfile {
+    /// Every timed phase as `(name, seconds)`, in pipeline order — the rows
+    /// of the metrics document's `"phases"` section.
+    pub fn phases(&self) -> [(&'static str, f64); 8] {
+        [
+            ("cap", self.cap_s),
+            ("routing", self.routing_s),
+            ("dispatch", self.dispatch_s),
+            ("signals", self.signals_s),
+            ("servers", self.servers_s),
+            ("settle", self.settle_s),
+            ("record", self.record_s),
+            ("shadow", self.shadow_s),
+        ]
     }
 
-    /// Mean server-plane milliseconds per step (0.0 before any step ran).
-    pub fn per_step_ms(&self) -> f64 {
+    /// Seconds charged across every phase.
+    pub fn total_s(&self) -> f64 {
+        self.phases().iter().map(|(_, s)| s).sum()
+    }
+
+    /// `seconds` as mean milliseconds per profiled step (0.0 before any
+    /// step ran).
+    pub fn per_step_ms(&self, seconds: f64) -> f64 {
         if self.steps == 0 {
             return 0.0;
         }
-        self.servers_s * 1e3 / self.steps as f64
+        seconds * 1e3 / self.steps as f64
     }
 
     /// Mean number of woken leaves per step (0.0 before any step ran).
     pub fn woken_per_step(&self) -> f64 {
-        if self.steps == 0 {
-            return 0.0;
-        }
-        self.woken_leaf_steps as f64 / self.steps as f64
+        self.woken_leaf_steps as f64 / self.steps.max(1) as f64
     }
 }
 
@@ -905,31 +858,30 @@ mod tests {
         assert!(lines[2].contains("60.000"), "accrued wait missing: {}", lines[2]);
     }
 
-    /// The charge methods are the only write path that keeps the recorded
-    /// total in sync with the per-part fields: each second of control-plane
-    /// work must land in exactly one part, exactly once.
+    /// Every timed field is one row of the profile, in pipeline order, and
+    /// the rows sum to the profile's total: no part is left out or counted
+    /// twice.
     #[test]
     fn control_plane_profile_parts_sum_to_the_recorded_total() {
-        let mut profile = ControlPlaneProfile::default();
-        assert_eq!(profile.recorded_total_s(), 0.0);
-        assert_eq!(profile.control_plane_s(), 0.0);
-
-        profile.charge_routing(0.25);
-        profile.charge_dispatch(1.5);
-        profile.charge_signals(0.125);
-        profile.charge_routing(0.75);
-        profile.steps += 2;
-
-        assert_eq!(profile.routing_s, 1.0);
-        assert_eq!(profile.dispatch_s, 1.5);
-        assert_eq!(profile.signals_s, 0.125);
-        let total = profile.control_plane_s();
-        let recorded = profile.recorded_total_s();
-        assert!(
-            (total - recorded).abs() <= 1e-9 * total.max(1.0),
-            "parts ({total}) drifted from the recorded total ({recorded}): \
-             some control-plane time was double-charged or dropped"
+        let profile = PhaseProfile {
+            cap_s: 0.5,
+            routing_s: 1.0,
+            dispatch_s: 1.5,
+            signals_s: 0.125,
+            servers_s: 4.0,
+            settle_s: 0.25,
+            record_s: 0.375,
+            shadow_s: 0.75,
+            steps: 2,
+            ..PhaseProfile::default()
+        };
+        let names: Vec<&str> = profile.phases().iter().map(|(n, _)| *n).collect();
+        assert_eq!(
+            names,
+            ["cap", "routing", "dispatch", "signals", "servers", "settle", "record", "shadow"]
         );
-        assert!((profile.per_step_ms() - total * 1e3 / 2.0).abs() < 1e-9);
+        assert_eq!(profile.total_s(), 8.5);
+        assert!((profile.per_step_ms(profile.servers_s) - 2_000.0).abs() < 1e-9);
+        assert_eq!(PhaseProfile::default().per_step_ms(1.0), 0.0);
     }
 }

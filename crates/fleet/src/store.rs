@@ -10,7 +10,6 @@
 
 use heracles_hw::ServerConfig;
 use heracles_sim::SimTime;
-use heracles_telemetry::TraceEvent;
 use heracles_workloads::{BeKind, LcKind, LcWorkload, NUM_SERVICES};
 use serde::{Deserialize, Serialize};
 
@@ -294,49 +293,6 @@ impl ServerEntry {
     pub fn projected_load(&self, horizon: f64) -> f64 {
         (self.lc_load + self.load_trend * horizon).clamp(0.0, 1.0)
     }
-
-    /// A structured snapshot of this server's admission state, for the
-    /// fleet's flight recorder: the verdict plus every input that feeds it
-    /// (controller permission, slack, load, slots, lifecycle, streak), so a
-    /// trace reader can see *why* the verdict flipped, not just that it did.
-    pub fn admission_trace(&self, now: SimTime) -> TraceEvent {
-        TraceEvent::new(now, "store", "admission")
-            .u64("server", self.id as u64)
-            .str("service", self.service.name())
-            .u64("generation", self.generation as u64)
-            .bool("admits", self.admits_be())
-            .bool("be_admitted", self.be_admitted)
-            .str(
-                "state",
-                match self.state {
-                    ServerState::Active => "active",
-                    ServerState::Draining => "draining",
-                    ServerState::Retired => "retired",
-                },
-            )
-            .f64("slack", self.slack)
-            .f64("load", self.lc_load)
-            .u64("free_slots", self.free_slots() as u64)
-            .u64("disabled_streak", self.disabled_streak as u64)
-    }
-}
-
-/// How the store partitions its shard index.
-///
-/// Both modes expose identical observable behavior — the shards are an
-/// index over the same server table, never a source of truth — so sharded
-/// and unsharded runs of the same seed produce identical schedules (pinned
-/// by the shard-equivalence property test).  `Single` exists as the
-/// reference point for that test and for apples-to-apples benchmarking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum ShardingMode {
-    /// One shard per (generation × service) pool — the default.  Placement
-    /// policies score shards independently (in parallel on large fleets)
-    /// and a cheap global reduce picks the winner.
-    #[default]
-    PerPool,
-    /// A single shard holding the whole fleet (the unsharded reference).
-    Single,
 }
 
 /// One pool shard: the in-service members of a (generation × service) cell,
@@ -346,17 +302,15 @@ pub enum ShardingMode {
 /// shard.  Policies use them as parallel scan units during batch dispatch.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PoolShard {
-    /// The (generation index, service) cell, or `None` for the single
-    /// whole-fleet shard of [`ShardingMode::Single`].
-    cell: Option<(usize, LcKind)>,
+    /// The (generation index, service) cell.
+    cell: (usize, LcKind),
     /// In-service member ids, ascending.
     members: Vec<ServerId>,
 }
 
 impl PoolShard {
-    /// The (generation index, service) cell this shard indexes, or `None`
-    /// for the single whole-fleet shard.
-    pub fn cell(&self) -> Option<(usize, LcKind)> {
+    /// The (generation index, service) cell this shard indexes.
+    pub fn cell(&self) -> (usize, LcKind) {
         self.cell
     }
 
@@ -376,7 +330,6 @@ impl PoolShard {
 pub struct PlacementStore {
     servers: Vec<ServerEntry>,
     last_updated: SimTime,
-    sharding: ShardingMode,
     /// Pool shards partitioning the in-service fleet (see [`PoolShard`]).
     shards: Vec<PoolShard>,
     /// Shard index of each server id (meaningless once retired).
@@ -409,33 +362,17 @@ impl PlacementStore {
     }
 
     /// Creates a store with one entry per capacity record (the
-    /// heterogeneous fleet), with the default per-pool sharding.
+    /// heterogeneous fleet), sharded per (generation × service) pool.
     ///
     /// # Panics
     ///
     /// Panics if `capacities` is empty or any entry has zero cores or BE
     /// slots.
     pub fn heterogeneous(capacities: &[ServerCapacity]) -> Self {
-        Self::heterogeneous_with_sharding(capacities, ShardingMode::default())
-    }
-
-    /// Creates a heterogeneous store with an explicit [`ShardingMode`].
-    /// Sharding never changes observable behavior — it only sets the shape
-    /// of the scan units the batch-dispatch plans parallelize over.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacities` is empty or any entry has zero cores or BE
-    /// slots.
-    pub fn heterogeneous_with_sharding(
-        capacities: &[ServerCapacity],
-        sharding: ShardingMode,
-    ) -> Self {
         assert!(!capacities.is_empty(), "a fleet needs at least one server");
         let mut store = PlacementStore {
             servers: Vec::with_capacity(capacities.len()),
             last_updated: SimTime::ZERO,
-            sharding,
             shards: Vec::new(),
             shard_of: Vec::new(),
             service_leaves: Default::default(),
@@ -461,10 +398,7 @@ impl PlacementStore {
         // throttled: the budget does not loosen because capacity grew.
         entry.power_throttled = self.power_throttled;
         self.servers.push(entry);
-        let key = match self.sharding {
-            ShardingMode::PerPool => Some((cap.generation, cap.service)),
-            ShardingMode::Single => None,
-        };
+        let key = (cap.generation, cap.service);
         let shard = match self.shards.iter().position(|s| s.cell == key) {
             Some(idx) => idx,
             None => {
@@ -663,14 +597,9 @@ impl PlacementStore {
     ///
     /// Sums the per-service leaf list in ascending id order — the same
     /// addition order as a filtered full-fleet scan, so the result is
-    /// bit-identical whatever the sharding mode.
+    /// bit-identical to one.
     pub fn in_service_peak_qps(&self, service: LcKind) -> f64 {
         self.service_leaves[service.index()].iter().map(|&id| self.servers[id].peak_qps).sum()
-    }
-
-    /// The store's sharding mode.
-    pub fn sharding(&self) -> ShardingMode {
-        self.sharding
     }
 
     /// The pool shards partitioning the in-service fleet — the scan units
@@ -1043,11 +972,10 @@ mod tests {
         assert_eq!(sharded, in_service, "shards must partition the in-service fleet");
         for shard in store.shards() {
             assert!(shard.members().windows(2).all(|w| w[0] < w[1]), "members ascending");
-            if let Some((generation, service)) = shard.cell() {
-                for &id in shard.members() {
-                    assert_eq!(servers[id].generation, generation);
-                    assert_eq!(servers[id].service, service);
-                }
+            let (generation, service) = shard.cell();
+            for &id in shard.members() {
+                assert_eq!(servers[id].generation, generation);
+                assert_eq!(servers[id].service, service);
             }
         }
         for s in servers.iter().filter(|s| s.in_service()) {
@@ -1082,29 +1010,6 @@ mod tests {
         assert_eq!(id, 3);
         assert_index_matches_table(&store);
         assert_eq!(store.in_service_leaves(LcKind::Websearch), 2);
-    }
-
-    #[test]
-    fn single_mode_keeps_one_shard_and_identical_aggregates() {
-        let caps = vec![
-            ServerCapacity::from_config(&ServerConfig::older_sandy_bridge(), 2, 0),
-            ServerCapacity::from_config(&ServerConfig::default_haswell(), 2, 1),
-            ServerCapacity::from_config(&ServerConfig::newer_skylake(), 2, 2),
-        ];
-        let sharded = PlacementStore::heterogeneous_with_sharding(&caps, ShardingMode::PerPool);
-        let single = PlacementStore::heterogeneous_with_sharding(&caps, ShardingMode::Single);
-        assert_eq!(sharded.shards().len(), 3);
-        assert_eq!(single.shards().len(), 1);
-        assert_eq!(single.shards()[0].cell(), None);
-        assert_eq!(single.shards()[0].members(), &[0, 1, 2]);
-        assert_index_matches_table(&sharded);
-        assert_index_matches_table(&single);
-        assert_eq!(sharded.servers(), single.servers());
-        assert_eq!(
-            sharded.in_service_peak_qps(LcKind::Websearch).to_bits(),
-            single.in_service_peak_qps(LcKind::Websearch).to_bits(),
-            "peak QPS sums must be bit-identical across sharding modes"
-        );
     }
 
     #[test]

@@ -13,15 +13,18 @@
 //!   actions, for every balancer: each step, every service's routed QPS
 //!   equals its offered QPS — traffic is re-divided when the pool changes,
 //!   never created or destroyed,
-//! * identical seeds give identical routing decisions for every balancer.
+//! * identical seeds give identical routing decisions for every balancer,
+//! * batched dispatch places exactly like the per-job reference scheduler
+//!   under any legal add/drain/retire churn.
 
 use proptest::prelude::*;
 
 use heracles_colo::ColoConfig;
 use heracles_fleet::{
-    core_weighted_mean, BalancerKind, FirstFit, FleetConfig, FleetSim, Generation, GenerationMix,
-    InterferenceAware, InterferenceModel, JobStreamConfig, LeastLoaded, PlacementPolicy,
-    PlacementStore, PolicyKind, RandomPlacement, ServerCapacity, ServerState, ShardingMode,
+    core_weighted_mean, BalancerKind, BeJob, FirstFit, FleetConfig, FleetSim, Generation,
+    GenerationMix, InterferenceAware, InterferenceModel, JobStreamConfig, LeastLoaded,
+    PlacementPolicy, PlacementStore, PolicyKind, RandomPlacement, ServerCapacity, ServerId,
+    ServerState,
 };
 use heracles_hw::ServerConfig;
 use heracles_sim::{SimRng, SimTime};
@@ -72,6 +75,22 @@ fn policies() -> Vec<Box<dyn PlacementPolicy>> {
         Box::new(LeastLoaded::default()),
         Box::new(InterferenceAware::new(model)),
     ]
+}
+
+/// The per-job reference scheduler: forwards every `place` to the wrapped
+/// policy and never calls `begin_round`, so each job re-scans the whole
+/// fleet.  The per-job scans ignore the store's shards, which makes this
+/// exactly the flat-store scheduler batched dispatch replaced.
+struct PerJob(Box<dyn PlacementPolicy>);
+
+impl PlacementPolicy for PerJob {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn place(&mut self, job: &BeJob, store: &PlacementStore, rng: &mut SimRng) -> Option<ServerId> {
+        self.0.place(job, store, rng)
+    }
 }
 
 fn job_for(kind_idx: usize, id: usize) -> heracles_fleet::BeJob {
@@ -295,20 +314,19 @@ proptest! {
         }
     }
 
-    /// The sharded store is a pure indexing change: for arbitrary mixes,
-    /// seeds, policies, balancers and add/drain/retire churn, a
-    /// per-(generation × service)-sharded store and a single flat shard
-    /// yield identical placements (the event log), identical routed loads
-    /// and step metrics, and an identical job ledger.
+    /// Batched, sharded dispatch is a pure planning change: for arbitrary
+    /// seeds, policies, balancers and add/drain/retire churn, it yields the
+    /// same placements (the event log), routed loads and step metrics, and
+    /// job ledger as the per-job reference scheduler.
     #[test]
-    fn sharded_and_unsharded_stores_give_identical_results(
+    fn batched_dispatch_matches_the_per_job_reference(
         servers in 3usize..7,
         seed in 0u64..100,
         policy_idx in 0usize..4,
         balancer_idx in 0usize..2,
         action_seed in 0u64..500,
     ) {
-        let base = FleetConfig {
+        let config = FleetConfig {
             servers,
             steps: 8,
             windows_per_step: 2,
@@ -320,9 +338,11 @@ proptest! {
             jobs: JobStreamConfig { arrivals_per_step: 1.5, ..JobStreamConfig::default() },
             ..FleetConfig::fast_services()
         };
-        let run = |sharding: ShardingMode, batch_dispatch: bool| {
-            let config = FleetConfig { sharding, batch_dispatch, ..base };
-            let policy = policies().remove(policy_idx);
+        let run = |per_job: bool| {
+            let mut policy = policies().remove(policy_idx);
+            if per_job {
+                policy = Box::new(PerJob(policy));
+            }
             let mut sim =
                 FleetSim::with_policy(config, ServerConfig::default_haswell(), policy);
             let mut actions = SimRng::new(action_seed);
@@ -365,17 +385,12 @@ proptest! {
             }
             sim.into_result()
         };
-        let sharded = run(ShardingMode::PerPool, true);
-        let flat = run(ShardingMode::Single, true);
-        // Flat store AND per-job dispatch: exactly the pre-sharding
-        // scheduler's control plane, end to end.
-        let legacy = run(ShardingMode::Single, false);
-        for other in [&flat, &legacy] {
-            prop_assert_eq!(&sharded.events, &other.events);
-            prop_assert_eq!(&sharded.jobs, &other.jobs);
-            prop_assert_eq!(&sharded.steps, &other.steps);
-            prop_assert_eq!(&sharded.server_services, &other.server_services);
-        }
+        let batched = run(false);
+        let reference = run(true);
+        prop_assert_eq!(&batched.events, &reference.events);
+        prop_assert_eq!(&batched.jobs, &reference.jobs);
+        prop_assert_eq!(&batched.steps, &reference.steps);
+        prop_assert_eq!(&batched.server_services, &reference.server_services);
     }
 
     /// Identical seeds give identical routing decisions for every

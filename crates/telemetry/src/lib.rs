@@ -21,10 +21,10 @@
 //!   `BENCH_fleet.json` precedent.
 //! * [`MetricsRegistry`] — named counters/gauges/histograms keyed by static
 //!   metric ids, iterated in sorted order so the export is deterministic.
-//! * [`PhaseBreakdown`] — named per-phase wall-time accumulation, the
-//!   generalization of the fleet's `ControlPlaneProfile`.  Wall time is
-//!   telemetry, not a result: it is exported in its own section of the
-//!   metrics document and never appears in a trace file.
+//!
+//! Wall time is a diagnostic, not a result: the fleet's phase profile is
+//! exported in its own `"phases"` section of the metrics document and never
+//! appears in a trace file.
 //!
 //! # Example
 //!
@@ -52,7 +52,6 @@ mod health;
 mod metrics;
 mod recorder;
 mod sketch;
-mod span;
 mod trace;
 mod validate;
 
@@ -63,6 +62,5 @@ pub use health::{
 pub use metrics::{Histogram, MetricsRegistry, HISTOGRAM_BUCKET_BOUNDS};
 pub use recorder::{FlightRecorder, Telemetry};
 pub use sketch::{QuantileSketch, MIN_TRACKED, RELATIVE_ERROR};
-pub use span::PhaseBreakdown;
 pub use trace::{json_escape, TraceEvent, TraceLog, TraceValue};
 pub use validate::{validate_metrics_json, validate_trace_jsonl, METRICS_SCHEMA, TRACE_SCHEMA};

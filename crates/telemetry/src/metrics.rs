@@ -124,8 +124,8 @@ impl Histogram {
 /// Ids are `&'static str` (e.g. `"fleet.jobs_placed"`) so emitters cannot
 /// fabricate names at runtime, and storage is a `BTreeMap` so exports
 /// iterate in sorted order — a traced run's metrics document is as
-/// deterministic as its trace (timing lives in
-/// [`PhaseBreakdown`](crate::PhaseBreakdown), not here).
+/// deterministic as its trace (wall time lives only in the document's
+/// `"phases"` section, never here).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<&'static str, u64>,
@@ -194,7 +194,7 @@ impl MetricsRegistry {
 
     /// Renders the three metric families as the body sections of the
     /// metrics document (used by
-    /// [`Telemetry::metrics_json`](crate::Telemetry::metrics_json)).
+    /// [`Telemetry::metrics_json_with_phases`](crate::Telemetry::metrics_json_with_phases)).
     pub(crate) fn to_json_sections(&self) -> String {
         let mut out = String::new();
         out.push_str("  \"counters\": {");

@@ -6,7 +6,6 @@ use std::fmt::Write as _;
 use crate::config::TelemetryConfig;
 use crate::health::HealthPlane;
 use crate::metrics::MetricsRegistry;
-use crate::span::PhaseBreakdown;
 use crate::trace::{json_escape, TraceEvent};
 use crate::validate::{METRICS_SCHEMA, TRACE_SCHEMA};
 
@@ -107,15 +106,13 @@ impl FlightRecorder {
 }
 
 /// Everything one traced run collects: the flight recorder, the metrics
-/// registry and the wall-time phase breakdown.
+/// registry and the optional health plane.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Telemetry {
     /// The bounded decision-event ring.
     pub recorder: FlightRecorder,
     /// Counters, gauges, histograms.
     pub metrics: MetricsRegistry,
-    /// Wall seconds per pipeline phase (diagnostics only — never traced).
-    pub phases: PhaseBreakdown,
     /// The online health plane (sketches + alert engine), present only
     /// when [`TelemetryConfig::health`] asked for it.
     pub health: Option<HealthPlane>,
@@ -143,7 +140,6 @@ impl Telemetry {
         Some(Telemetry {
             recorder: FlightRecorder::new(config.trace_capacity),
             metrics: MetricsRegistry::new(),
-            phases: PhaseBreakdown::new(),
             health: config.health.then(HealthPlane::new),
         })
     }
@@ -153,14 +149,26 @@ impl Telemetry {
         self.recorder.to_jsonl(header)
     }
 
-    /// The run's metrics as a JSON document: sorted counters/gauges/
-    /// histograms, the wall-time phase breakdown, and the recorder's
-    /// retention stats.
+    /// The run's metrics as a JSON document with an empty `"phases"`
+    /// section (see [`metrics_json_with_phases`](Self::metrics_json_with_phases)).
     pub fn metrics_json(&self) -> String {
+        self.metrics_json_with_phases(&[], 0)
+    }
+
+    /// The run's metrics as a JSON document: sorted counters/gauges/
+    /// histograms, the wall seconds of each named step phase over `steps`
+    /// steps, and the recorder's retention stats.  Wall time is a
+    /// diagnostic, never a result: it appears only in the `"phases"`
+    /// section, which is exempt from the byte-identity guarantee.
+    pub fn metrics_json_with_phases(&self, phases: &[(&str, f64)], steps: usize) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{{\n  \"schema\": \"{METRICS_SCHEMA}\",");
         out.push_str(&self.metrics.to_json_sections());
-        out.push_str(&self.phases.to_json_section());
+        out.push_str("  \"phases\": {");
+        for (name, seconds) in phases {
+            let _ = write!(out, "\n    \"{name}_s\": {seconds:.9},");
+        }
+        let _ = writeln!(out, "\n    \"steps\": {steps}\n  }},");
         let _ = writeln!(out, "  \"trace_events\": {},", self.recorder.len());
         let _ = writeln!(out, "  \"trace_dropped\": {}", self.recorder.dropped());
         out.push_str("}\n");
@@ -216,17 +224,17 @@ mod tests {
         tel.recorder.extend((0..4).map(event));
         tel.metrics.inc("test.ticks");
         tel.metrics.observe("test.n", 2.0);
-        tel.phases.charge("routing", 0.001);
-        tel.phases.bump_steps();
         let trace = tel.trace_jsonl(&[("seed", "7".into())]);
         validate_trace_jsonl(&trace).unwrap();
         assert!(trace.starts_with(&format!("{{\"schema\":\"{TRACE_SCHEMA}\"")));
         assert!(trace.contains("\"seed\":\"7\""));
         assert_eq!(trace.lines().count(), 5);
-        let metrics = tel.metrics_json();
+        let metrics = tel.metrics_json_with_phases(&[("routing", 0.001)], 1);
         validate_metrics_json(&metrics).unwrap();
         assert!(metrics.contains("\"test.ticks\": 1"));
-        assert!(metrics.contains("\"routing_s\":"));
+        assert!(metrics.contains("\"routing_s\": 0.001000000,"));
+        assert!(metrics.contains("\"steps\": 1\n"));
+        validate_metrics_json(&tel.metrics_json()).unwrap();
     }
 
     #[test]

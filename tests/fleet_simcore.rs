@@ -17,8 +17,8 @@
 
 use heracles::colo::ColoConfig;
 use heracles::fleet::{
-    BalancerKind, FleetConfig, FleetResult, FleetSim, JobStreamConfig, PolicyKind,
-    ServerPlaneProfile, SimCore,
+    BalancerKind, FleetConfig, FleetResult, FleetSim, JobStreamConfig, PhaseProfile, PolicyKind,
+    SimCore,
 };
 use heracles::hw::ServerConfig;
 
@@ -40,14 +40,14 @@ fn run_static(
     policy: PolicyKind,
     balancer: BalancerKind,
     core: SimCore,
-) -> (FleetResult, ServerPlaneProfile) {
+) -> (FleetResult, PhaseProfile) {
     let cfg = base(balancer, core);
     let steps = cfg.steps;
     let mut sim = FleetSim::new(cfg, ServerConfig::default_haswell(), policy);
     for _ in 0..steps {
         sim.step_once();
     }
-    let profile = *sim.server_plane_profile();
+    let profile = *sim.profile();
     (sim.into_result(), profile)
 }
 
@@ -104,7 +104,7 @@ fn event_core_matches_stepped_oracle_under_elasticity() {
         for _ in 0..steps {
             elastic.step_once();
         }
-        let profile = elastic.server_plane_profile();
+        let profile = *elastic.sim().profile();
         (elastic.finish(), profile)
     };
 
@@ -140,7 +140,7 @@ fn a_held_steady_fleet_actually_quiesces_on_the_event_core() {
         for _ in 0..steps {
             sim.step_once();
         }
-        let profile = *sim.server_plane_profile();
+        let profile = *sim.profile();
         (sim.into_result(), profile)
     };
 
