@@ -60,7 +60,7 @@ impl WindowRecord {
     }
 }
 
-/// Renders a window history as a CSV document (header plus one row per
+/// Renders a run's window records as a CSV document (header plus one row per
 /// window), ready to be dumped to a file for plotting.
 ///
 /// # Example

@@ -11,7 +11,7 @@ use heracles_workloads::{BeWorkload, LcWorkload};
 use heracles_workloads::BeKind;
 
 use crate::config::ColoConfig;
-use crate::record::{ColoSummary, WindowRecord};
+use crate::record::WindowRecord;
 
 /// Everything a measurement window's outcome depends on, besides the seed
 /// and the window's phase within the SLO merge deque.
@@ -107,15 +107,15 @@ pub struct ColoRunner {
     config: ColoConfig,
     cfs: CfsShares,
     now: SimTime,
-    history: Vec<WindowRecord>,
+    /// The most recent window's record: the only window the runner keeps,
+    /// so a leaf's state does not grow with the length of the run.
+    last: Option<WindowRecord>,
     /// Latency samples of the most recent windows, merged into one SLO
-    /// measurement (the paper's multi-second SLO window).
-    recent_latencies: VecDeque<LatencyRecorder>,
-    /// RNG phases of the same windows, kept in lockstep with
-    /// `recent_latencies`: steady windows recycle the phase from the front
-    /// (one SLO cycle ago), which is what makes their sample sets — and
-    /// therefore their records — repeat bitwise.
-    recent_phases: VecDeque<u64>,
+    /// measurement (the paper's multi-second SLO window), each with the RNG
+    /// phase it was drawn at: steady windows recycle the phase from the
+    /// front (one SLO cycle ago), which is what makes their sample sets —
+    /// and therefore their records — repeat bitwise.
+    recent: VecDeque<(u64, LatencyRecorder)>,
     /// Inputs of the most recently executed window.
     last_inputs: Option<WindowInputs>,
     /// How many consecutive trailing windows shared `last_inputs`.
@@ -149,9 +149,8 @@ impl ColoRunner {
             config,
             cfs: CfsShares::characterization_default(),
             now: SimTime::ZERO,
-            history: Vec::new(),
-            recent_latencies: VecDeque::new(),
-            recent_phases: VecDeque::new(),
+            last: None,
+            recent: VecDeque::new(),
             last_inputs: None,
             steady_streak: 0,
             last_be_progress: 0.0,
@@ -236,7 +235,7 @@ impl ColoRunner {
 
     /// The most recent window's record, if any window has run.
     pub fn last_record(&self) -> Option<&WindowRecord> {
-        self.history.last()
+        self.last.as_ref()
     }
 
     /// The simulated server (allocations, counters, configuration).
@@ -252,22 +251,6 @@ impl ColoRunner {
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// All windows recorded so far.
-    pub fn history(&self) -> &[WindowRecord] {
-        &self.history
-    }
-
-    /// Summary statistics over all windows recorded so far.
-    pub fn summary(&self) -> ColoSummary {
-        ColoSummary::from_records(&self.history)
-    }
-
-    /// Summary statistics over the most recent `n` windows.
-    pub fn summary_of_last(&self, n: usize) -> ColoSummary {
-        let start = self.history.len().saturating_sub(n);
-        ColoSummary::from_records(&self.history[start..])
     }
 
     /// Advances one measurement window at the given LC load and returns its
@@ -327,12 +310,6 @@ impl ColoRunner {
         }
     }
 
-    /// True when the runner has been steady long enough that the next window
-    /// can take the fast path if its inputs stay unchanged.
-    pub fn is_steady(&self) -> bool {
-        self.steady_streak > self.phase_cap()
-    }
-
     /// `(full, fast)` window counts since the runner was created.
     pub fn window_counts(&self) -> (u64, u64) {
         (self.full_windows, self.fast_windows)
@@ -353,7 +330,7 @@ impl ColoRunner {
     /// the caller must run [`full_window`](Self::full_window).
     fn fast_window(&mut self, load: f64) -> Option<WindowRecord> {
         let cap = self.phase_cap();
-        if self.steady_streak <= cap || self.recent_latencies.len() < cap {
+        if self.steady_streak <= cap || self.recent.len() < cap {
             return None;
         }
         let load = load.clamp(0.0, 4.0);
@@ -365,20 +342,18 @@ impl ColoRunner {
         // Rotate the SLO deque: the window's fresh samples are bitwise
         // identical to the recorder leaving the front, so rotation
         // reproduces the full path's push-back/pop-front exactly.
-        let recycled = self.recent_latencies.pop_front().expect("deque holds a full cycle");
-        self.recent_latencies.push_back(recycled);
-        let phase = self.recent_phases.pop_front().expect("phase deque matches latency deque");
-        self.recent_phases.push_back(phase);
-        let mut record = self.history.last().expect("a steady streak implies history").clone();
-        record.time = self.now;
+        let recycled = self.recent.pop_front().expect("deque holds a full cycle");
+        self.recent.push_back(recycled);
+        let last = self.last.as_mut().expect("a steady streak implies a last record");
+        last.time = self.now;
         let measurements = Measurements {
-            tail_latency_s: record.tail_latency_s,
+            tail_latency_s: last.tail_latency_s,
             load,
             be_progress: self.last_be_progress,
-            counters: record.counters,
+            counters: last.counters,
         };
+        let record = last.clone();
         self.policy.tick(self.now, &mut self.server, &measurements);
-        self.history.push(record.clone());
         self.note_window(inputs, true);
         Some(record)
     }
@@ -417,7 +392,7 @@ impl ColoRunner {
             energy_j += record.counters.package_power_w * window_s;
             max_power_w = max_power_w.max(record.counters.package_power_w);
         }
-        let last = self.history.last().expect("at least one window ran");
+        let last = self.last.as_ref().expect("at least one window ran");
         LeafAdvance {
             last_emu: last.emu,
             last_be_throughput: last.be_throughput,
@@ -456,9 +431,9 @@ impl ColoRunner {
         // merged tail freezes, and every steady window's record is provably
         // bitwise identical — the invariant the fast path below exploits.
         let phase = if self.last_inputs == Some(inputs) && self.steady_streak >= self.phase_cap() {
-            *self.recent_phases.front().expect("a steady streak implies a full phase cycle")
+            self.recent.front().expect("a steady streak implies a full phase cycle").0
         } else {
-            self.history.len() as u64
+            self.full_windows + self.fast_windows
         };
         let mut rng = SimRng::new(self.config.seed).fork(WINDOW_STREAM ^ phase);
 
@@ -510,14 +485,12 @@ impl ColoRunner {
         // Aggregate the last few windows into one SLO measurement so that the
         // tail estimate is statistically meaningful (the paper's controller
         // polls latency over 15 s for exactly this reason).
-        self.recent_latencies.push_back(window.latencies.clone());
-        self.recent_phases.push_back(phase);
-        while self.recent_latencies.len() > self.config.slo_window_count.max(1) {
-            self.recent_latencies.pop_front();
-            self.recent_phases.pop_front();
+        self.recent.push_back((phase, window.latencies));
+        while self.recent.len() > self.phase_cap() {
+            self.recent.pop_front();
         }
         let mut merged = LatencyRecorder::new();
-        for rec in &self.recent_latencies {
+        for (_, rec) in &self.recent {
             merged.merge(rec);
         }
         let tail_latency_s = merged.quantile(self.lc.slo().percentile);
@@ -569,13 +542,13 @@ impl ColoRunner {
             counters,
             outcome,
         };
-        self.history.push(record.clone());
+        self.last = Some(record.clone());
         self.note_window(inputs, false);
         record
     }
 
     /// Runs `windows` consecutive windows at a constant load and returns the
-    /// records (also appended to the history).
+    /// records.
     ///
     /// Routes through the same stepping path as fleet leaves: steady
     /// windows take the (bit-exact) fast path automatically.
@@ -599,7 +572,7 @@ impl std::fmt::Debug for ColoRunner {
             .field("be", &self.be.as_ref().map(|b| b.name().to_string()))
             .field("policy", &self.policy.name())
             .field("now", &self.now)
-            .field("windows", &self.history.len())
+            .field("windows", &(self.full_windows + self.fast_windows))
             .finish()
     }
 }
@@ -607,6 +580,7 @@ impl std::fmt::Debug for ColoRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::ColoSummary;
     use heracles_baselines::{LcOnly, OsOnly};
     use heracles_core::{Heracles, HeraclesConfig, OfflineDramModel};
 
@@ -666,7 +640,7 @@ mod tests {
     }
 
     #[test]
-    fn history_and_summary_track_steps() {
+    fn records_and_window_counts_track_steps() {
         let cfg = ServerConfig::default_haswell();
         let mut runner = ColoRunner::new(
             cfg,
@@ -675,10 +649,12 @@ mod tests {
             Box::new(LcOnly::new()),
             ColoConfig::fast_test(),
         );
-        runner.run_steady(0.3, 5);
-        assert_eq!(runner.history().len(), 5);
-        assert_eq!(runner.summary().windows, 5);
-        assert_eq!(runner.summary_of_last(2).windows, 2);
+        assert!(runner.last_record().is_none());
+        let records = runner.run_steady(0.3, 5);
+        assert_eq!(records.len(), 5);
+        let (full, fast) = runner.window_counts();
+        assert_eq!(full + fast, 5);
+        assert_eq!(runner.last_record().map(|r| r.time), Some(runner.now()));
         assert!(runner.now().as_secs_f64() >= 5.0);
     }
 
@@ -715,8 +691,9 @@ mod tests {
         // Two identical runners: one steps every window in full (the
         // oracle), one goes through the shared path with the fast path
         // allowed.  A long steady stretch under Heracles exercises both the
-        // certification windows and the fast windows; the histories must be
-        // indistinguishable.
+        // certification windows and the fast windows; the records must be
+        // indistinguishable, and each runner's last record must be, bit for
+        // bit, the one it just returned.
         let build = || {
             let cfg = ServerConfig::default_haswell();
             let lc = LcWorkload::websearch();
@@ -737,6 +714,13 @@ mod tests {
             assert_eq!(a.emu.to_bits(), b.emu.to_bits());
             assert_eq!((a.lc_cores, a.be_cores, a.be_ways), (b.lc_cores, b.be_cores, b.be_ways));
             assert_eq!(a.slo_met, b.slo_met);
+            // `Debug` prints every f64 in its shortest round-trip form, so
+            // equal renderings mean equal bits for every non-NaN field.
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+            for (runner, record) in [(&oracle, &a), (&fast, &b)] {
+                let last = runner.last_record().expect("a window ran");
+                assert_eq!(format!("{last:?}"), format!("{record:?}"));
+            }
         }
         let (full, fast_count) = fast.window_counts();
         assert_eq!(full + fast_count, 120);
@@ -793,8 +777,7 @@ mod tests {
                 policy,
                 ColoConfig::fast_test().with_seed(seed),
             );
-            runner.run_steady(0.5, 10);
-            runner.summary().mean_normalized_latency
+            ColoSummary::from_records(&runner.run_steady(0.5, 10)).mean_normalized_latency
         };
         assert_eq!(run(5), run(5));
         assert_ne!(run(5), run(6));

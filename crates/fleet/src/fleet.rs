@@ -130,6 +130,12 @@ fn default_demand_hold_steps() -> usize {
     1
 }
 
+/// Steps a server may sit occupied with BE disabled before its jobs are
+/// preempted and requeued.  The grace lets jobs ride out a brief BE park
+/// (a load spike the controller answers by disabling BE) in place instead
+/// of being requeued at once.
+const PREEMPTION_GRACE_STEPS: usize = 2;
+
 /// Configuration of a fleet run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FleetConfig {
@@ -177,9 +183,6 @@ pub struct FleetConfig {
     /// Which front-end load balancer routes each service's offered QPS
     /// across its leaves (capacity-weighted by default).
     pub balancer: BalancerKind,
-    /// Steps a server may sit occupied with BE disabled before its jobs are
-    /// preempted and requeued.
-    pub preemption_grace_steps: usize,
     /// The cost model behind the per-step amortized TCO series (the paper's
     /// case-study parameters by default).
     pub tco: TcoModel,
@@ -231,7 +234,6 @@ impl Default for FleetConfig {
             mix: GenerationMix::homogeneous(),
             services: ServiceMix::websearch_only(),
             balancer: BalancerKind::CapacityWeighted,
-            preemption_grace_steps: 2,
             tco: TcoModel::paper_case_study(),
             colo: ColoConfig { requests_per_window: 1_200, ..ColoConfig::default() },
             jobs: JobStreamConfig { arrivals_per_step: 5.0, ..JobStreamConfig::default() },
@@ -1446,7 +1448,7 @@ impl FleetSim {
                 obs.last_be_throughput,
                 obs.be_enabled,
             );
-            if self.store.server(id).disabled_streak > self.config.preemption_grace_steps {
+            if self.store.server(id).disabled_streak > PREEMPTION_GRACE_STEPS {
                 // The server's controller has kept BE parked past the
                 // grace period: route the jobs elsewhere.  Requeue in
                 // reverse so the earliest resident ends up frontmost.

@@ -1,20 +1,11 @@
-//! A minimal time-ordered event queue and the wake scheduler built on it.
-//!
-//! The cluster simulation schedules controller epochs and load-trace updates
-//! through the [`EventQueue`]; the event-driven fleet core schedules typed
-//! component wake-ups through the [`Scheduler`].  Events at equal times are
-//! delivered in insertion order, which keeps runs deterministic.
+//! Typed wake reasons for the event-driven fleet core.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-use crate::time::SimTime;
-
-/// Why a sleeping simulation component is being woken.
+/// Why a simulation component ran in full instead of fast-forwarding.
 ///
-/// The event-driven server plane only advances a component in full when
-/// something observable changed; every wake carries the reason, so a trace
-/// can attribute each woken component to exactly one cause class.
+/// Reasons are attribution only: each leaf's fast path re-verifies its own
+/// window inputs, so a reason never decides whether a leaf runs in full.
+/// Every traced wake carries its reasons, so a trace can attribute each
+/// woken component to its cause classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum WakeReason {
     /// The component's routed load changed (an exact bit comparison — no
@@ -61,353 +52,6 @@ impl WakeReason {
             WakeReason::JobArrival => "job-arrival",
             WakeReason::JobCompletion => "job-completion",
             WakeReason::Lifecycle => "lifecycle",
-        }
-    }
-}
-
-/// A pending event carrying a payload of type `T`.
-#[derive(Debug, Clone)]
-struct Scheduled<T> {
-    time: SimTime,
-    seq: u64,
-    payload: T,
-}
-
-impl<T> PartialEq for Scheduled<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<T> Eq for Scheduled<T> {}
-
-impl<T> Ord for Scheduled<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse so that the BinaryHeap (a max-heap) pops the earliest event;
-        // ties break by insertion order.
-        other.time.cmp(&self.time).then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl<T> PartialOrd for Scheduled<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// A deterministic, time-ordered event queue.
-///
-/// # Example
-///
-/// ```
-/// use heracles_sim::{event::EventQueue, SimTime};
-/// let mut q = EventQueue::new();
-/// q.schedule(SimTime::from_secs(10), "later");
-/// q.schedule(SimTime::from_secs(5), "sooner");
-/// let (t, what) = q.pop().unwrap();
-/// assert_eq!((t, what), (SimTime::from_secs(5), "sooner"));
-/// ```
-#[derive(Debug, Clone)]
-pub struct EventQueue<T> {
-    heap: BinaryHeap<Scheduled<T>>,
-    next_seq: u64,
-}
-
-impl<T> Default for EventQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> EventQueue<T> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        EventQueue { heap: BinaryHeap::new(), next_seq: 0 }
-    }
-
-    /// Schedules `payload` to be delivered at `time`.
-    pub fn schedule(&mut self, time: SimTime, payload: T) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Scheduled { time, seq, payload });
-    }
-
-    /// Removes and returns the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        self.heap.pop().map(|s| (s.time, s.payload))
-    }
-
-    /// The time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-/// A deterministic wake scheduler: components sleep until an event wakes
-/// them, and every wake names its [`WakeReason`].
-///
-/// The quiescence contract: a component with no wake scheduled at or before
-/// time `t` ([`is_quiescent_until`](Self::is_quiescent_until)) may be
-/// fast-forwarded to `t` without running its full per-tick work — provided
-/// the caller's fast path is provably exact, which is what the fleet's
-/// bit-identical core-equivalence tests pin.  Wakes are conservative: waking
-/// a component that turns out to have nothing to do costs only the wasted
-/// wake, while *missing* a wake would silently fork the simulation — so
-/// every producer of change (the traffic plane, the dispatcher, the elastic
-/// hooks) schedules a wake whenever it *might* have changed a component's
-/// inputs.
-///
-/// # Example
-///
-/// ```
-/// use heracles_sim::{event::{Scheduler, WakeReason}, SimTime};
-/// let mut s: Scheduler<&str> = Scheduler::new();
-/// s.schedule(SimTime::from_secs(5), "leaf-a", WakeReason::LoadDelta);
-/// s.schedule(SimTime::from_secs(9), "leaf-b", WakeReason::JobArrival);
-/// assert_eq!(s.peek(), Some(SimTime::from_secs(5)));
-/// assert!(s.is_quiescent_until(SimTime::from_secs(4)));
-/// assert!(!s.is_quiescent_until(SimTime::from_secs(5)));
-/// ```
-#[derive(Debug, Clone)]
-pub struct Scheduler<K> {
-    queue: EventQueue<(K, WakeReason)>,
-    now: SimTime,
-}
-
-impl<K> Default for Scheduler<K> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K> Scheduler<K> {
-    /// Creates an empty scheduler at time zero.
-    pub fn new() -> Self {
-        Scheduler { queue: EventQueue::new(), now: SimTime::ZERO }
-    }
-
-    /// The time the scheduler has advanced to.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedules a wake for `target` at `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is before the scheduler's current time — a wake in
-    /// the past could never fire, which would violate the quiescence
-    /// contract silently.
-    pub fn schedule(&mut self, time: SimTime, target: K, reason: WakeReason) {
-        assert!(time >= self.now, "wake scheduled in the past ({time} < {now})", now = self.now);
-        self.queue.schedule(time, (target, reason));
-    }
-
-    /// The time of the earliest pending wake, if any.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use heracles_sim::{event::{Scheduler, WakeReason}, SimTime};
-    /// let mut s: Scheduler<u32> = Scheduler::new();
-    /// assert_eq!(s.peek(), None);
-    /// s.schedule(SimTime::from_secs(3), 7, WakeReason::Lifecycle);
-    /// assert_eq!(s.peek(), Some(SimTime::from_secs(3)));
-    /// ```
-    pub fn peek(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
-    /// Advances the scheduler to `time` and returns every wake due at or
-    /// before it, in (time, insertion) order.  Equal-time wakes keep their
-    /// scheduling order, so draining is deterministic.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use heracles_sim::{event::{Scheduler, WakeReason}, SimTime};
-    /// let mut s: Scheduler<&str> = Scheduler::new();
-    /// s.schedule(SimTime::from_secs(2), "b", WakeReason::JobCompletion);
-    /// s.schedule(SimTime::from_secs(1), "a", WakeReason::LoadDelta);
-    /// s.schedule(SimTime::from_secs(8), "c", WakeReason::ControllerPoll);
-    /// let due = s.advance_to(SimTime::from_secs(5));
-    /// assert_eq!(due.len(), 2);
-    /// assert_eq!(due[0].0, "a");
-    /// assert_eq!(due[1].0, "b");
-    /// assert_eq!(s.now(), SimTime::from_secs(5));
-    /// assert_eq!(s.len(), 1); // "c" still pending
-    /// ```
-    pub fn advance_to(&mut self, time: SimTime) -> Vec<(K, WakeReason)> {
-        if time > self.now {
-            self.now = time;
-        }
-        let mut due = Vec::new();
-        while self.queue.peek_time().is_some_and(|t| t <= self.now) {
-            let (_, wake) = self.queue.pop().expect("peeked a pending event");
-            due.push(wake);
-        }
-        due
-    }
-
-    /// True when no wake is scheduled at or before `time`: the contract
-    /// under which a caller may fast-forward sleeping components to `time`.
-    pub fn is_quiescent_until(&self, time: SimTime) -> bool {
-        self.queue.peek_time().is_none_or(|t| t > time)
-    }
-
-    /// Number of pending wakes.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True if no wakes are pending.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(3), 'c');
-        q.schedule(SimTime::from_secs(1), 'a');
-        q.schedule(SimTime::from_secs(2), 'b');
-        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
-        assert_eq!(order, vec!['a', 'b', 'c']);
-    }
-
-    #[test]
-    fn ties_break_by_insertion_order() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(1);
-        q.schedule(t, 1);
-        q.schedule(t, 2);
-        q.schedule(t, 3);
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
-        assert_eq!(order, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(7), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(7)));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-    }
-
-    #[test]
-    fn empty_queue_behaviour() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(q.pop().is_none());
-        assert!(q.peek_time().is_none());
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn tie_break_order_survives_clone() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(2);
-        for id in 0..16 {
-            q.schedule(t, id);
-        }
-        let mut copy = q.clone();
-        let original: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
-        let cloned: Vec<i32> = std::iter::from_fn(|| copy.pop().map(|(_, p)| p)).collect();
-        assert_eq!(original, (0..16).collect::<Vec<_>>());
-        assert_eq!(original, cloned);
-    }
-
-    #[test]
-    fn scheduler_drains_due_wakes_in_order() {
-        let mut s: Scheduler<u32> = Scheduler::new();
-        s.schedule(SimTime::from_secs(4), 4, WakeReason::JobArrival);
-        s.schedule(SimTime::from_secs(1), 1, WakeReason::LoadDelta);
-        s.schedule(SimTime::from_secs(1), 2, WakeReason::ControllerPoll);
-        s.schedule(SimTime::from_secs(9), 9, WakeReason::Lifecycle);
-        let due = s.advance_to(SimTime::from_secs(4));
-        assert_eq!(
-            due,
-            vec![
-                (1, WakeReason::LoadDelta),
-                (2, WakeReason::ControllerPoll),
-                (4, WakeReason::JobArrival),
-            ]
-        );
-        assert_eq!(s.now(), SimTime::from_secs(4));
-        assert!(s.is_quiescent_until(SimTime::from_secs(8)));
-        assert!(!s.is_quiescent_until(SimTime::from_secs(9)));
-        assert_eq!(s.advance_to(SimTime::from_secs(9)), vec![(9, WakeReason::Lifecycle)]);
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn advance_to_earlier_time_keeps_now_monotonic() {
-        let mut s: Scheduler<u8> = Scheduler::new();
-        s.advance_to(SimTime::from_secs(5));
-        assert!(s.advance_to(SimTime::from_secs(3)).is_empty());
-        assert_eq!(s.now(), SimTime::from_secs(5));
-    }
-
-    #[test]
-    #[should_panic(expected = "wake scheduled in the past")]
-    fn scheduling_in_the_past_panics() {
-        let mut s: Scheduler<u8> = Scheduler::new();
-        s.advance_to(SimTime::from_secs(10));
-        s.schedule(SimTime::from_secs(9), 0, WakeReason::LoadDelta);
-    }
-
-    /// Randomized (but seed-deterministic) interleaving of schedule and pop:
-    /// equal-time events must always come out in the order they went in, no
-    /// matter how the heap was churned in between.
-    #[test]
-    fn interleaved_schedule_and_pop_never_reorders_equal_times() {
-        for seed in 0..32u64 {
-            let mut rng = crate::rng::SimRng::new(0xE7E27 ^ seed);
-            let mut q: EventQueue<(u64, u64)> = EventQueue::new();
-            // Per-time insertion counters: payload is (time_key, ordinal).
-            let mut issued = [0u64; 4];
-            let mut popped: Vec<(SimTime, (u64, u64))> = Vec::new();
-            for _ in 0..200 {
-                if q.is_empty() || rng.index(3) > 0 {
-                    let time_key = rng.index(4) as u64;
-                    let ordinal = issued[time_key as usize];
-                    issued[time_key as usize] += 1;
-                    q.schedule(SimTime::from_secs(time_key), (time_key, ordinal));
-                } else {
-                    popped.push(q.pop().unwrap());
-                }
-            }
-            while let Some(ev) = q.pop() {
-                popped.push(ev);
-            }
-            // Within each pop "run" between schedules the times are sorted; more
-            // importantly, for any fixed time the ordinals appear in issue order
-            // across the whole history.
-            for time_key in 0..4u64 {
-                let ordinals: Vec<u64> = popped
-                    .iter()
-                    .filter(|(_, (tk, _))| *tk == time_key)
-                    .map(|(_, (_, ord))| *ord)
-                    .collect();
-                assert_eq!(ordinals.len() as u64, issued[time_key as usize]);
-                assert!(
-                    ordinals.windows(2).all(|w| w[0] < w[1]),
-                    "seed {seed}: equal-time events reordered: {ordinals:?}"
-                );
-            }
         }
     }
 }

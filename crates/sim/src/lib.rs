@@ -13,8 +13,8 @@
 //!   service-time model into a tail-latency distribution,
 //! * [`series`] — time-series recording for the figures,
 //! * [`csv`] — the CSV formatting/escaping helpers every exporter shares,
-//! * [`event`] — a priority event queue plus the typed wake [`Scheduler`]
-//!   the event-driven fleet core sleeps and wakes components through,
+//! * [`event`] — the typed [`WakeReason`]s traces attribute event-core
+//!   wakes to,
 //! * [`parallel`] — scoped-thread fan-out used by the figure binaries and
 //!   the fleet simulator to run independent cells/servers concurrently.
 //!
@@ -48,7 +48,7 @@ pub mod series;
 pub mod stats;
 pub mod time;
 
-pub use event::{EventQueue, Scheduler, WakeReason};
+pub use event::WakeReason;
 pub use parallel::{parallel_map, parallel_map_mut};
 pub use queue::MultiServerQueue;
 pub use rng::SimRng;
