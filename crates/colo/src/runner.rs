@@ -1,11 +1,9 @@
 //! The policy-driven colocation runner.
 
-use std::collections::VecDeque;
-
 use heracles_core::{ColocationPolicy, Measurements};
 use heracles_hw::{Server, ServerConfig};
 use heracles_isolation::CfsShares;
-use heracles_sim::{LatencyRecorder, SimRng, SimTime};
+use heracles_sim::{SimRng, SimTime, SloTail};
 use heracles_workloads::{BeWorkload, LcWorkload};
 
 use heracles_workloads::BeKind;
@@ -110,12 +108,12 @@ pub struct ColoRunner {
     /// The most recent window's record: the only window the runner keeps,
     /// so a leaf's state does not grow with the length of the run.
     last: Option<WindowRecord>,
-    /// Latency samples of the most recent windows, merged into one SLO
-    /// measurement (the paper's multi-second SLO window), each with the RNG
-    /// phase it was drawn at: steady windows recycle the phase from the
-    /// front (one SLO cycle ago), which is what makes their sample sets —
-    /// and therefore their records — repeat bitwise.
-    recent: VecDeque<(u64, LatencyRecorder)>,
+    /// The most recent windows' tail samples, merged into one SLO
+    /// measurement (the paper's multi-second SLO window), each tagged with
+    /// the RNG phase it was drawn at: steady windows recycle the phase from
+    /// the front (one SLO cycle ago), which is what makes their sample sets
+    /// — and therefore their records — repeat bitwise.
+    recent: SloTail,
     /// Inputs of the most recently executed window.
     last_inputs: Option<WindowInputs>,
     /// How many consecutive trailing windows shared `last_inputs`.
@@ -138,6 +136,11 @@ impl ColoRunner {
         config: ColoConfig,
     ) -> Self {
         let be_alone_progress = be.as_ref().map_or(1.0, |b| b.alone_progress(&server_config));
+        let recent = SloTail::new(
+            lc.slo().percentile,
+            config.slo_window_count.max(1),
+            config.requests_per_window,
+        );
         let mut server = Server::new(server_config);
         policy.init(&mut server);
         ColoRunner {
@@ -150,7 +153,7 @@ impl ColoRunner {
             cfs: CfsShares::characterization_default(),
             now: SimTime::ZERO,
             last: None,
-            recent: VecDeque::new(),
+            recent,
             last_inputs: None,
             steady_streak: 0,
             last_be_progress: 0.0,
@@ -342,8 +345,7 @@ impl ColoRunner {
         // Rotate the SLO deque: the window's fresh samples are bitwise
         // identical to the recorder leaving the front, so rotation
         // reproduces the full path's push-back/pop-front exactly.
-        let recycled = self.recent.pop_front().expect("deque holds a full cycle");
-        self.recent.push_back(recycled);
+        self.recent.rotate();
         let last = self.last.as_mut().expect("a steady streak implies a last record");
         last.time = self.now;
         let measurements = Measurements {
@@ -431,7 +433,7 @@ impl ColoRunner {
         // merged tail freezes, and every steady window's record is provably
         // bitwise identical — the invariant the fast path below exploits.
         let phase = if self.last_inputs == Some(inputs) && self.steady_streak >= self.phase_cap() {
-            self.recent.front().expect("a steady streak implies a full phase cycle").0
+            self.recent.front_phase().expect("a steady streak implies a full phase cycle")
         } else {
             self.full_windows + self.fast_windows
         };
@@ -485,15 +487,8 @@ impl ColoRunner {
         // Aggregate the last few windows into one SLO measurement so that the
         // tail estimate is statistically meaningful (the paper's controller
         // polls latency over 15 s for exactly this reason).
-        self.recent.push_back((phase, window.latencies));
-        while self.recent.len() > self.phase_cap() {
-            self.recent.pop_front();
-        }
-        let mut merged = LatencyRecorder::new();
-        for (_, rec) in &self.recent {
-            merged.merge(rec);
-        }
-        let tail_latency_s = merged.quantile(self.lc.slo().percentile);
+        self.recent.push(phase, window.latencies);
+        let tail_latency_s = self.recent.quantile();
         let normalized_latency = self.lc.slo().normalized(tail_latency_s);
 
         // BE progress and Effective Machine Utilization.

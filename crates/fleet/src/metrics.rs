@@ -310,13 +310,15 @@ pub struct QueueingDelaySummary {
 }
 
 /// Nearest-rank percentile of an unsorted sample (0.0 for empty input).
+///
+/// The samples are whole simulated nanoseconds in seconds: finite and never
+/// −0.0, so [`f64::total_cmp`] orders them as numbers.
 fn nearest_rank(samples: &mut [f64], q: f64) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("delays are finite"));
-    let rank = ((q * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
-    samples[rank - 1]
+    let rank = heracles_sim::stats::nearest_rank(q, samples.len());
+    *samples.select_nth_unstable_by(rank - 1, f64::total_cmp).1
 }
 
 impl FleetResult {

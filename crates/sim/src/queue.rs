@@ -7,6 +7,9 @@
 //! Poisson arrivals, general (caller-supplied) service times, `c` servers,
 //! first-come-first-served.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::rng::SimRng;
 use crate::stats::LatencyRecorder;
 
@@ -54,6 +57,11 @@ impl MultiServerQueue {
     ///
     /// Returns an empty recorder when `arrival_rate_hz <= 0` or
     /// `requests == 0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arrival_rate_hz` is not finite: a NaN rate would otherwise
+    /// yield an empty window, whose tail reads as zero — an SLO met.
     pub fn run(
         &self,
         rng: &mut SimRng,
@@ -61,27 +69,32 @@ impl MultiServerQueue {
         requests: usize,
         mut service: impl FnMut(&mut SimRng) -> f64,
     ) -> LatencyRecorder {
+        assert!(
+            arrival_rate_hz.is_finite(),
+            "MultiServerQueue::run: arrival_rate_hz must be finite, got {arrival_rate_hz}"
+        );
         let mut latencies = LatencyRecorder::with_capacity(requests);
         if arrival_rate_hz <= 0.0 || requests == 0 {
             return latencies;
         }
         let mean_interarrival = 1.0 / arrival_rate_hz;
-        // `free_at[i]` is the simulated time at which server i next becomes idle.
-        let mut free_at = vec![0.0_f64; self.servers];
+        // The servers' free times, earliest on top.  FCFS latency depends
+        // only on the earliest free *time*, not on which server holds it, so
+        // a min-heap of times is exact.  Free times are sums of a
+        // non-negative clock and non-negative service times starting from
+        // +0.0: never NaN and never −0.0, so their bit patterns order exactly
+        // like their values.
+        let mut free_at = BinaryHeap::from(vec![Reverse(0.0_f64.to_bits()); self.servers]);
         let mut now = 0.0_f64;
         for _ in 0..requests {
             now += rng.exp(mean_interarrival);
             // FCFS: the request runs on the server that frees up earliest.
-            let (idx, earliest) = free_at
-                .iter()
-                .copied()
-                .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite times"))
-                .expect("at least one server");
-            let start = now.max(earliest);
+            let mut earliest = free_at.peek_mut().expect("at least one server");
+            let start = now.max(f64::from_bits(earliest.0));
             let wait = start - now;
             let service_time = service(rng).max(0.0);
-            free_at[idx] = start + service_time;
+            *earliest = Reverse((start + service_time).to_bits());
+            drop(earliest);
             latencies.record(wait + service_time);
         }
         latencies
@@ -134,6 +147,20 @@ mod tests {
         let q = MultiServerQueue::new(2);
         assert!(q.run(&mut rng, 0.0, 100, |r| r.exp(0.001)).is_empty());
         assert!(q.run(&mut rng, 100.0, 0, |r| r.exp(0.001)).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival_rate_hz must be finite, got NaN")]
+    fn nan_arrival_rate_is_rejected() {
+        let mut rng = SimRng::new(3);
+        MultiServerQueue::new(2).run(&mut rng, f64::NAN, 100, |r| r.exp(0.001));
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival_rate_hz must be finite, got inf")]
+    fn infinite_arrival_rate_is_rejected() {
+        let mut rng = SimRng::new(3);
+        MultiServerQueue::new(2).run(&mut rng, f64::INFINITY, 100, |r| r.exp(0.001));
     }
 
     #[test]

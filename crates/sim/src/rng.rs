@@ -110,15 +110,7 @@ impl SimRng {
     /// matches the heavy-but-not-pathological tails of request service times
     /// in serving systems.  Returns zero when `mean <= 0`.
     pub fn lognormal(&mut self, mean: f64, cov: f64) -> f64 {
-        if mean <= 0.0 {
-            return 0.0;
-        }
-        if cov <= 0.0 {
-            return mean;
-        }
-        let sigma2 = (1.0 + cov * cov).ln();
-        let mu = mean.ln() - sigma2 / 2.0;
-        (mu + sigma2.sqrt() * self.standard_normal()).exp()
+        LogNormal::new(mean, cov).sample(self)
     }
 
     /// A Poisson sample with the given mean (Knuth's method).
@@ -171,6 +163,54 @@ impl SimRng {
         let ha = hi.powf(alpha);
         let x = -(u * ha - u * la - ha) / (ha * la);
         x.powf(-1.0 / alpha)
+    }
+}
+
+/// A log-normal law parameterised like [`SimRng::lognormal`], with its
+/// logarithms and square root computed once instead of per sample.
+///
+/// [`sample`](Self::sample) performs exactly the arithmetic
+/// [`SimRng::lognormal`] does on the same draw, so the two are bitwise
+/// interchangeable; build the law once when drawing many samples from it.
+///
+/// # Example
+///
+/// ```
+/// use heracles_sim::{LogNormal, SimRng};
+/// let law = LogNormal::new(0.010, 0.5);
+/// let (mut a, mut b) = (SimRng::new(7), SimRng::new(7));
+/// assert_eq!(law.sample(&mut a).to_bits(), b.lognormal(0.010, 0.5).to_bits());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LogNormal {
+    mu: f64,
+    sigma: f64,
+    /// The value every sample takes when the law is degenerate (`mean <= 0`
+    /// gives zero, `cov <= 0` gives the mean); such laws draw nothing.
+    constant: Option<f64>,
+}
+
+impl LogNormal {
+    /// The law with the given mean and coefficient of variation
+    /// (`std_dev / mean`).
+    pub fn new(mean: f64, cov: f64) -> Self {
+        if mean <= 0.0 {
+            return LogNormal { mu: 0.0, sigma: 0.0, constant: Some(0.0) };
+        }
+        if cov <= 0.0 {
+            return LogNormal { mu: 0.0, sigma: 0.0, constant: Some(mean) };
+        }
+        let sigma2 = (1.0 + cov * cov).ln();
+        LogNormal { mu: mean.ln() - sigma2 / 2.0, sigma: sigma2.sqrt(), constant: None }
+    }
+
+    /// One sample, drawing one standard normal from `rng` unless the law is
+    /// degenerate.
+    pub fn sample(&self, rng: &mut SimRng) -> f64 {
+        match self.constant {
+            Some(value) => value,
+            None => (self.mu + self.sigma * rng.standard_normal()).exp(),
+        }
     }
 }
 

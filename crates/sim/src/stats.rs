@@ -3,8 +3,11 @@
 //! Heracles consumes tail latency (e.g. the 99th percentile over a 15-second
 //! window) as its primary control input.  [`LatencyRecorder`] collects the
 //! per-request latencies produced by the queueing simulation and reports exact
-//! empirical percentiles; [`StreamingStats`] tracks running moments for
+//! empirical percentiles; [`SloTail`] merges the latest windows into one SLO
+//! measurement; [`StreamingStats`] tracks running moments for
 //! resource-utilization series.
+
+use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
@@ -25,35 +28,38 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LatencyRecorder {
+    /// Finite, non-negative samples, never −0.0: on such values
+    /// [`f64::total_cmp`] is the numeric order, which is what lets
+    /// [`quantile`](Self::quantile) select with it.
     samples: Vec<f64>,
-    sorted: bool,
 }
 
 impl LatencyRecorder {
     /// Creates an empty recorder.
     pub fn new() -> Self {
-        LatencyRecorder { samples: Vec::new(), sorted: true }
+        LatencyRecorder { samples: Vec::new() }
     }
 
     /// Creates an empty recorder with capacity for `n` samples.
     pub fn with_capacity(n: usize) -> Self {
-        LatencyRecorder { samples: Vec::with_capacity(n), sorted: true }
+        LatencyRecorder { samples: Vec::with_capacity(n) }
     }
 
     /// Records one latency sample in seconds.
     ///
-    /// Non-finite or negative samples are ignored.
+    /// Non-finite or negative samples are ignored, and −0.0 is stored as
+    /// +0.0.
     pub fn record(&mut self, latency_s: f64) {
         if latency_s.is_finite() && latency_s >= 0.0 {
-            self.samples.push(latency_s);
-            self.sorted = false;
+            // `abs` only clears the sign of −0.0; every other accepted
+            // sample is already positive or +0.0.
+            self.samples.push(latency_s.abs());
         }
     }
 
     /// Absorbs all samples from another recorder.
     pub fn merge(&mut self, other: &LatencyRecorder) {
         self.samples.extend_from_slice(&other.samples);
-        self.sorted = false;
     }
 
     /// Number of recorded samples.
@@ -61,8 +67,8 @@ impl LatencyRecorder {
         self.samples.len()
     }
 
-    /// The raw samples in insertion (not sorted) order unless a quantile has
-    /// been computed since the last insertion, in which case they are sorted.
+    /// The raw samples, in no particular order: [`quantile`](Self::quantile)
+    /// partially reorders them.
     pub fn samples(&self) -> &[f64] {
         &self.samples
     }
@@ -74,22 +80,19 @@ impl LatencyRecorder {
 
     /// The empirical quantile `q` in `[0, 1]`, or zero if empty.
     ///
-    /// Uses the nearest-rank method, which is what production latency
-    /// monitoring systems report.
+    /// Uses the nearest-rank method (see [`nearest_rank`]), which is what
+    /// production latency monitoring systems report.  Selects the order
+    /// statistic in linear time, leaving the samples partially reordered.
     pub fn quantile(&mut self, q: f64) -> f64 {
         if self.samples.is_empty() {
             return 0.0;
         }
-        if !self.sorted {
-            self.samples.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-            self.sorted = true;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.samples.len() as f64).ceil() as usize).clamp(1, self.samples.len());
-        self.samples[rank - 1]
+        let rank = nearest_rank(q, self.samples.len());
+        *self.samples.select_nth_unstable_by(rank - 1, f64::total_cmp).1
     }
 
-    /// The mean latency, or zero if empty.
+    /// The mean latency, or zero if empty.  Sums in storage order, which
+    /// [`quantile`](Self::quantile) changes.
     pub fn mean(&self) -> f64 {
         if self.samples.is_empty() {
             0.0
@@ -106,7 +109,178 @@ impl LatencyRecorder {
     /// Removes all samples.
     pub fn clear(&mut self) {
         self.samples.clear();
-        self.sorted = true;
+    }
+}
+
+/// The 1-based nearest rank of quantile `q` (clamped to `[0, 1]`) among
+/// `n >= 1` samples: `ceil(q·n)`, at least 1.
+///
+/// # Example
+///
+/// ```
+/// use heracles_sim::stats::nearest_rank;
+/// assert_eq!(nearest_rank(0.99, 1500), 1485);
+/// assert_eq!(nearest_rank(0.0, 10), 1);
+/// ```
+pub fn nearest_rank(q: f64, n: usize) -> usize {
+    ((q.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n)
+}
+
+/// How many of a window's largest samples decide the nearest-rank quantile
+/// `q` of any merge of windows holding at most `max_samples` samples in
+/// total: an upper bound on `n − nearest_rank(q, n) + 1` over `1 ≤ n ≤
+/// max_samples`.
+///
+/// The rank-`r` sample of `n` is the `(n − r + 1)`-th largest, and every
+/// sample that large is among its own window's `n − r + 1` largest, so
+/// windows trimmed to this many samples merge to the exact quantile.
+///
+/// The bound is closed-form: with `u = 2⁻⁵³`, the product `q·n` rounds to
+/// at least `q·n − n·u`, so `n − nearest_rank(q, n) + 1 ≤ (1 − q)·n + 1 +
+/// n·u`, which grows with `n`.  The `1e-6` slack covers that `n·u` and the
+/// rounding of the expression below for any `max_samples < 2³⁰`; it can
+/// only make the bound one sample larger than necessary, never smaller.
+///
+/// # Panics
+///
+/// Panics if `max_samples >= 2³⁰`.
+fn tail_sample_bound(q: f64, max_samples: usize) -> usize {
+    assert!(max_samples < 1 << 30, "tail_sample_bound: {max_samples} samples is too many");
+    let n = max_samples as f64;
+    let bound = ((1.0 - q.clamp(0.0, 1.0)) * n + 1.0 + 1e-6).floor() as usize;
+    bound.min(max_samples)
+}
+
+/// One window's share of an [`SloTail`]: its sample count and its largest
+/// samples.
+#[derive(Debug)]
+struct WindowTop {
+    phase: u64,
+    count: usize,
+    top: Vec<f64>,
+}
+
+/// The nearest-rank quantile over the most recent measurement windows — the
+/// paper's multi-second SLO measurement, merged from per-window samples —
+/// kept exactly from each window's largest samples only.
+///
+/// A window holding at most `max_window_samples` samples keeps only as many
+/// of its largest samples as the merged quantile can reach (61 of 1500 for a
+/// p99 over four windows); the merged quantile selects among those,
+/// and equals the nearest-rank quantile of all the windows' samples
+/// concatenated.  Each window carries an opaque `phase` tag for its owner
+/// (the colocation runner stores the window's RNG phase there).
+///
+/// # Example
+///
+/// ```
+/// use heracles_sim::{LatencyRecorder, SloTail};
+/// let mut tail = SloTail::new(0.99, 2, 100);
+/// for phase in 0..3 {
+///     let mut window = LatencyRecorder::new();
+///     for i in 1..=100 {
+///         window.record((phase * 100 + i) as f64);
+///     }
+///     tail.push(phase, window);
+/// }
+/// // Windows 1 and 2 (samples 101..=300) remain; their p99 is rank 198.
+/// assert_eq!(tail.quantile(), 298.0);
+/// ```
+#[derive(Debug)]
+pub struct SloTail {
+    percentile: f64,
+    windows: usize,
+    max_window_samples: usize,
+    keep: usize,
+    recent: VecDeque<WindowTop>,
+    /// Reused merge buffer, so a merge allocates nothing.
+    candidates: Vec<f64>,
+}
+
+impl SloTail {
+    /// An empty tail at `percentile` over the last `windows` windows of at
+    /// most `max_window_samples` samples each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `windows` is zero.
+    pub fn new(percentile: f64, windows: usize, max_window_samples: usize) -> Self {
+        assert!(windows > 0, "an SLO tail needs at least one window");
+        SloTail {
+            percentile,
+            windows,
+            max_window_samples,
+            keep: tail_sample_bound(percentile, windows * max_window_samples),
+            recent: VecDeque::new(),
+            candidates: Vec::new(),
+        }
+    }
+
+    /// Number of windows held (at most the `windows` it was created with).
+    pub fn len(&self) -> usize {
+        self.recent.len()
+    }
+
+    /// True if no window has been pushed.
+    pub fn is_empty(&self) -> bool {
+        self.recent.is_empty()
+    }
+
+    /// The phase tag of the oldest window held.
+    pub fn front_phase(&self) -> Option<u64> {
+        self.recent.front().map(|w| w.phase)
+    }
+
+    /// Adds the newest window, dropping the oldest once more than `windows`
+    /// are held.  Only the window's largest samples are kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window holds more than `max_window_samples` samples.
+    pub fn push(&mut self, phase: u64, mut window: LatencyRecorder) {
+        let count = window.len();
+        assert!(
+            count <= self.max_window_samples,
+            "SloTail::push: a window of {count} samples exceeds the bound of {}",
+            self.max_window_samples
+        );
+        let keep = self.keep.min(count);
+        if keep < count {
+            window.samples.select_nth_unstable_by(count - keep, f64::total_cmp);
+        }
+        let mut top = if self.recent.len() == self.windows {
+            self.recent.pop_front().expect("a full tail has an oldest window").top
+        } else {
+            Vec::with_capacity(self.keep)
+        };
+        top.clear();
+        top.extend_from_slice(&window.samples[count - keep..]);
+        self.recent.push_back(WindowTop { phase, count, top });
+    }
+
+    /// Moves the oldest window to the newest position.  The merged samples
+    /// do not change, so neither does [`quantile`](Self::quantile).
+    pub fn rotate(&mut self) {
+        if let Some(oldest) = self.recent.pop_front() {
+            self.recent.push_back(oldest);
+        }
+    }
+
+    /// The nearest-rank quantile at `percentile` of all samples of the
+    /// windows held, or zero if they hold none.
+    pub fn quantile(&mut self) -> f64 {
+        let total: usize = self.recent.iter().map(|w| w.count).sum();
+        if total == 0 {
+            return 0.0;
+        }
+        let from_top = total - nearest_rank(self.percentile, total) + 1;
+        assert!(from_top <= self.keep, "tail_sample_bound undercounts the merged tail");
+        self.candidates.clear();
+        for window in &self.recent {
+            self.candidates.extend_from_slice(&window.top);
+        }
+        let index = self.candidates.len() - from_top;
+        *self.candidates.select_nth_unstable_by(index, f64::total_cmp).1
     }
 }
 
@@ -259,6 +433,29 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.len(), 2);
         assert_eq!(a.quantile(1.0), 2.0);
+    }
+
+    #[test]
+    fn tail_sample_bound_covers_every_merge_size() {
+        for q in [0.0, 0.3, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0] {
+            for windows in 1..=6 {
+                for requests in [1, 40, 1500, 3000] {
+                    let max = windows * requests;
+                    let bound = tail_sample_bound(q, max);
+                    let needed = (1..=max).map(|n| n - nearest_rank(q, n) + 1).max().unwrap();
+                    assert!(needed <= bound, "q {q}, {max} samples: need {needed}, bound {bound}");
+                    assert!(bound <= needed + 1, "q {q}, {max} samples: bound {bound} is loose");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slo_tail_of_empty_windows_is_zero() {
+        let mut tail = SloTail::new(0.99, 3, 100);
+        assert_eq!(tail.quantile(), 0.0);
+        tail.push(0, LatencyRecorder::new());
+        assert_eq!(tail.quantile(), 0.0);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   bandwidth (~20% at peak) but network-bound at high load.
 
 use heracles_hw::{ContentionOutcome, ResourceDemand, ServerConfig};
-use heracles_sim::{LatencyRecorder, MultiServerQueue, SimRng};
+use heracles_sim::{LatencyRecorder, LogNormal, MultiServerQueue, SimRng};
 use serde::{Deserialize, Serialize};
 
 use crate::slo::Slo;
@@ -123,8 +123,6 @@ pub struct WindowResult {
     pub tail_latency_s: f64,
     /// Tail latency normalized to the SLO target (1.0 = exactly at SLO).
     pub normalized_tail: f64,
-    /// Mean latency in seconds.
-    pub mean_latency_s: f64,
     /// Offered load as a fraction of peak QPS.
     pub offered_load: f64,
     /// Offered queries per second.
@@ -357,6 +355,12 @@ impl LcWorkload {
     /// (used for the OS-only baseline's scheduling interference).
     ///
     /// Returns the latency distribution and its SLO-percentile tail.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `load` or the mean service time the window's resources
+    /// give is not finite, so a NaN surfaces here instead of as an empty
+    /// window whose tail reads as zero — an SLO met.
     #[allow(clippy::too_many_arguments)]
     pub fn simulate_window(
         &self,
@@ -368,12 +372,17 @@ impl LcWorkload {
         requests: usize,
         mut extra_delay: Option<&mut dyn FnMut(&mut SimRng) -> f64>,
     ) -> WindowResult {
+        assert!(load.is_finite(), "simulate_window: load must be finite, got {load}");
         let qps = self.qps(load);
         let serving_cores = serving_cores.max(1);
         let mean_service = self.service_time_s(load, outcome, config);
-        let cov = self.service_cov;
+        assert!(
+            mean_service.is_finite(),
+            "simulate_window: mean service time must be finite, got {mean_service} s"
+        );
+        let law = LogNormal::new(mean_service, self.service_cov);
         let queue = MultiServerQueue::new(serving_cores);
-        let base = queue.run(rng, qps, requests, |r| r.lognormal(mean_service, cov));
+        let base = queue.run(rng, qps, requests, |r| law.sample(r));
 
         let mut latencies = LatencyRecorder::with_capacity(base.len());
         for &sample in base.samples() {
@@ -385,7 +394,6 @@ impl LcWorkload {
         }
         let tail = latencies.quantile(self.slo.percentile);
         WindowResult {
-            mean_latency_s: latencies.mean(),
             normalized_tail: self.slo.normalized(tail),
             tail_latency_s: tail,
             latencies,
@@ -559,6 +567,54 @@ mod tests {
     #[should_panic(expected = "capacity ratio")]
     fn capacity_scaling_rejects_nonpositive_ratio() {
         LcWorkload::websearch().scaled_to_capacity(0.0);
+    }
+
+    #[test]
+    fn window_samples_match_a_per_request_lognormal() {
+        // The hoisted service law draws exactly what a per-request
+        // `SimRng::lognormal` call draws.
+        let cfg = config();
+        let server = Server::new(cfg.clone());
+        for lc in LcWorkload::all() {
+            let out = uncontended_outcome(&server, &lc, 0.7);
+            let mut rng = SimRng::new(17);
+            let window = lc.simulate_window(&mut rng, 0.7, 12, &out, &cfg, 2000, None);
+            let mean = lc.service_time_s(0.7, &out, &cfg);
+            let mut rng = SimRng::new(17);
+            let reference = MultiServerQueue::new(12)
+                .run(&mut rng, lc.qps(0.7), 2000, |r| r.lognormal(mean, lc.service_cov));
+            let mut expected: Vec<u64> = reference
+                .samples()
+                .iter()
+                .map(|s| (s + out.lc_net_extra_delay_s + 0.0).to_bits())
+                .collect();
+            let mut got: Vec<u64> =
+                window.latencies.samples().iter().map(|s| s.to_bits()).collect();
+            expected.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(got, expected, "{}", lc.name());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "load must be finite, got NaN")]
+    fn nan_load_is_rejected() {
+        let cfg = config();
+        let server = Server::new(cfg.clone());
+        let ws = LcWorkload::websearch();
+        let out = uncontended_outcome(&server, &ws, 0.5);
+        ws.simulate_window(&mut SimRng::new(1), f64::NAN, 20, &out, &cfg, 100, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "mean service time must be finite, got NaN")]
+    fn nan_mean_service_time_is_rejected() {
+        let cfg = config();
+        let server = Server::new(cfg.clone());
+        let ws = LcWorkload::websearch();
+        let mut out = uncontended_outcome(&server, &ws, 0.5);
+        out.mem_latency_multiplier = f64::NAN;
+        ws.simulate_window(&mut SimRng::new(1), 0.5, 20, &out, &cfg, 100, None);
     }
 
     #[test]
