@@ -13,10 +13,14 @@
 //! A step's trace events are committed to the flight recorder once, stably
 //! sorted by simulated time (leaf events carry mid-step window times, fleet
 //! events the step's end), so the stream is non-decreasing in `t`.
+//!
+//! Observation is kept cheap: the events recorded in bulk carry only
+//! numbers and static labels (see [`TraceEvent`]), counters are summed per
+//! step and added once, and every per-leaf ledger is indexed densely.
 
 use heracles_energy::{joules_to_dollars, EnergyMeter};
 use heracles_sim::{SimDuration, SimTime, WakeReason};
-use heracles_telemetry::{AlertKind, Telemetry, TraceEvent};
+use heracles_telemetry::{AlertKind, FlightRecorder, Telemetry, TraceEvent};
 use heracles_workloads::LcKind;
 
 use crate::fleet::{
@@ -49,7 +53,25 @@ pub(crate) struct Observer {
     wakes: Wakes,
     /// The current step's events, committed once by
     /// [`Observing::recorded`].
+    step: StepTrace,
+}
+
+/// One step's trace events, held until the record phase commits them.
+#[derive(Default)]
+struct StepTrace {
+    /// The fleet's events in emission order, all at the step's end.
     events: Vec<TraceEvent>,
+    /// Jobs the dispatcher left queued (thousands per step when jobs cannot
+    /// be placed), each after how many of `events` it was emitted.  An
+    /// `unplaced` event carries only the job id, so it is built when
+    /// committed, straight into the flight recorder.
+    unplaced: Vec<(usize, JobId)>,
+    /// The leaf controllers' events, rebased onto the fleet clock and
+    /// tagged with their server, emitted after the first `leaf_split` of
+    /// `events` and after every unplaced job (the dispatch phase runs
+    /// before the advance phase).
+    leaf_events: Vec<TraceEvent>,
+    leaf_split: usize,
 }
 
 /// Wake attribution for traced event-core runs.  Attribution only: each
@@ -105,7 +127,7 @@ impl Observer {
             },
             telemetry,
             meter: config.energy.metering.then(EnergyMeter::new),
-            events: Vec::new(),
+            step: StepTrace::default(),
         }
     }
 
@@ -237,7 +259,7 @@ impl Observing<'_> {
     pub(crate) fn capped(self, frame: &StepFrame, capped: Option<Capped>) {
         let (Some(capped), true) = (capped, self.observer.tracing()) else { return };
         if let Some(throttled) = capped.throttle_flip {
-            self.observer.events.push(
+            self.observer.step.events.push(
                 TraceEvent::new(frame.now, "energy", "be_throttle")
                     .bool("throttled", throttled)
                     .f64("budget_w", capped.budget_w)
@@ -246,7 +268,7 @@ impl Observing<'_> {
         }
         for (id, cap) in capped.changed {
             self.observer.wakes.note(id, WakeReason::Lifecycle);
-            self.observer.events.push(
+            self.observer.step.events.push(
                 TraceEvent::new(frame.now, "energy", "cap")
                     .u64("server", id as u64)
                     .bool("capped", cap.is_some())
@@ -260,7 +282,7 @@ impl Observing<'_> {
     /// plane's divert-storm signal.
     pub(crate) fn routed(self, frame: &StepFrame, trace: Vec<TraceEvent>) {
         let Some(t) = self.observer.telemetry.as_mut() else { return };
-        self.observer.events.extend(trace);
+        self.observer.step.events.extend(trace);
         if let Some(h) = t.health.as_mut() {
             let (shed, _) = self.plane.divert_counts();
             h.observe_signal(
@@ -274,16 +296,15 @@ impl Observing<'_> {
     /// round summary.
     pub(crate) fn dispatched(self, frame: &StepFrame, dispatched: Dispatched) {
         let Some(t) = self.observer.telemetry.as_mut() else { return };
-        let events = &mut self.observer.events;
+        let step = &mut self.observer.step;
         let mut placed = 0u64;
         for &(job, outcome) in &dispatched.outcomes {
             match outcome {
                 Some((server, residents)) => {
                     placed += 1;
                     self.observer.wakes.note(server, WakeReason::JobArrival);
-                    t.metrics.inc("fleet.jobs_placed");
                     let entry = self.store.server(server);
-                    events.push(
+                    step.events.push(
                         TraceEvent::new(frame.now, "fleet", "place")
                             .u64("job", job as u64)
                             .u64("server", server as u64)
@@ -294,15 +315,17 @@ impl Observing<'_> {
                             .u64("residents", residents as u64),
                     );
                 }
-                None => {
-                    t.metrics.inc("fleet.jobs_unplaced");
-                    events.push(
-                        TraceEvent::new(frame.now, "fleet", "unplaced").u64("job", job as u64),
-                    );
-                }
+                None => step.unplaced.push((step.events.len(), job)),
             }
         }
         let jobs = dispatched.outcomes.len() as u64;
+        // A counter appears in the metrics document once it first counts.
+        if placed > 0 {
+            t.metrics.add("fleet.jobs_placed", placed);
+        }
+        if jobs > placed {
+            t.metrics.add("fleet.jobs_unplaced", jobs - placed);
+        }
         if jobs > 0 {
             let mut event = TraceEvent::new(frame.now, "fleet", "dispatch_round")
                 .u64("jobs", jobs)
@@ -311,7 +334,7 @@ impl Observing<'_> {
             if let Some(candidates) = dispatched.plan_candidates {
                 event = event.u64("plan_candidates", candidates as u64);
             }
-            events.push(event);
+            step.events.push(event);
         }
     }
 
@@ -326,11 +349,12 @@ impl Observing<'_> {
         leaf_traces: Vec<(ServerId, Vec<TraceEvent>)>,
     ) {
         let Some(t) = self.observer.telemetry.as_mut() else { return };
-        let Observer { events, runner_epochs, wakes, .. } = self.observer;
-        for (id, leaf_events) in leaf_traces {
+        let Observer { step, runner_epochs, wakes, .. } = self.observer;
+        step.leaf_split = step.events.len();
+        for (id, events) in leaf_traces {
             let epoch = runner_epochs.get(id).copied().unwrap_or(SimDuration::ZERO);
-            events
-                .extend(leaf_events.into_iter().map(|e| e.shifted(epoch).u64("server", id as u64)));
+            step.leaf_events
+                .extend(events.into_iter().map(|e| e.shifted(epoch).u64("server", id as u64)));
         }
         if !wakes.enabled {
             return;
@@ -356,15 +380,10 @@ impl Observing<'_> {
                 0 => 1 << WakeReason::ControllerPoll.index(),
                 mask => mask,
             };
-            let names: Vec<&'static str> = WakeReason::ALL
-                .iter()
-                .filter(|r| mask & (1 << r.index()) != 0)
-                .map(|r| r.name())
-                .collect();
-            events.push(
+            step.events.push(
                 TraceEvent::new(frame.now, "fleet", "wake")
                     .u64("server", id as u64)
-                    .str("reasons", &names.join("+"))
+                    .str("reasons", WAKE_LABELS[usize::from(mask)])
                     .u64("full_windows", obs.full_windows)
                     .u64("fast_windows", obs.fast_windows),
             );
@@ -397,7 +416,7 @@ impl Observing<'_> {
                         .u64("disabled_streak", disabled_streak as u64)
                 }
             };
-            self.observer.events.push(event);
+            self.observer.step.events.push(event);
         }
     }
 
@@ -412,7 +431,9 @@ impl Observing<'_> {
         recorded: &Recorded,
     ) {
         let Observing { observer, config, store, plane, queue, steps, .. } = self;
-        let Observer { telemetry, meter, admission_baseline, events, .. } = observer;
+        let Observer {
+            telemetry, meter, admission_baseline, step: StepTrace { events, .. }, ..
+        } = observer;
         if telemetry.is_none() && meter.is_none() {
             return;
         }
@@ -425,8 +446,8 @@ impl Observing<'_> {
                 let leaf_joules = obs.energy_j * config.time_compression;
                 m.observe_leaf(
                     id as u64,
-                    entry.service.name(),
-                    Generation::all()[entry.generation].name(),
+                    (entry.service.index(), entry.service.name()),
+                    (entry.generation, Generation::all()[entry.generation].name()),
                     leaf_joules,
                     joules_to_dollars(leaf_joules, recorded.energy_price, config.energy.pue),
                 );
@@ -550,13 +571,84 @@ impl Observing<'_> {
         t.metrics.set_gauge_with_unit("fleet.peak_power_w", step.peak_power_w, "W");
         t.metrics.set_gauge_with_unit("fleet.mean_power_w", step.energy_joules / step_s, "W");
         t.metrics.observe("fleet.step_energy_joules", step.energy_joules);
-        for obs in observations {
-            t.metrics.observe("fleet.normalized_latency", obs.worst_normalized_latency);
-        }
-        events.sort_by_key(|e| e.time());
-        t.recorder.extend(events.drain(..));
+        t.metrics.observe_all(
+            "fleet.normalized_latency",
+            observations.iter().map(|obs| obs.worst_normalized_latency),
+        );
+        observer.step.commit(frame.now, &mut t.recorder);
     }
 }
+
+impl StepTrace {
+    /// Records the step's events into `recorder` in the order a stable sort
+    /// by time of their emission order gives, leaving both buffers empty
+    /// with their capacity kept for the next step.
+    ///
+    /// Every fleet event carries the step's end time `now`; only leaf
+    /// events carry other (window) times.  So the order is: the leaf events
+    /// before `now`, the fleet events emitted before them, the leaf events
+    /// at `now`, the rest of the fleet events, the leaf events after `now`;
+    /// the unplaced jobs' events go in at their places.  Each event is
+    /// moved once, and only the leaf events are sorted.
+    fn commit(&mut self, now: SimTime, recorder: &mut FlightRecorder) {
+        let StepTrace { events, unplaced, leaf_events, leaf_split } = self;
+        debug_assert!(events.iter().all(|e| e.time() == now), "a fleet event off the step's end");
+        leaf_events.sort_by_key(|e| e.time());
+        let before = leaf_events.partition_point(|e| e.time() < now);
+        let at_now = leaf_events.partition_point(|e| e.time() <= now) - before;
+        let mut leaves = leaf_events.drain(..);
+        let mut events = events.drain(..);
+        recorder.extend(leaves.by_ref().take(before));
+        let mut emitted = 0;
+        for (at, job) in unplaced.drain(..) {
+            recorder.extend(events.by_ref().take(at - emitted));
+            emitted = at;
+            recorder.record(TraceEvent::new(now, "fleet", "unplaced").u64("job", job as u64));
+        }
+        recorder.extend(events.by_ref().take(std::mem::take(leaf_split) - emitted));
+        recorder.extend(leaves.by_ref().take(at_now));
+        recorder.extend(events);
+        recorder.extend(leaves);
+    }
+}
+
+/// The `reasons` label of a wake event for every reason bitmask over
+/// [`WakeReason::index`]: the set reasons' names in [`WakeReason::ALL`]
+/// order, joined by `+`.
+const WAKE_LABELS: [&str; 1 << WakeReason::ALL.len()] = [
+    "",
+    "load-delta",
+    "controller-poll",
+    "load-delta+controller-poll",
+    "job-arrival",
+    "load-delta+job-arrival",
+    "controller-poll+job-arrival",
+    "load-delta+controller-poll+job-arrival",
+    "job-completion",
+    "load-delta+job-completion",
+    "controller-poll+job-completion",
+    "load-delta+controller-poll+job-completion",
+    "job-arrival+job-completion",
+    "load-delta+job-arrival+job-completion",
+    "controller-poll+job-arrival+job-completion",
+    "load-delta+controller-poll+job-arrival+job-completion",
+    "lifecycle",
+    "load-delta+lifecycle",
+    "controller-poll+lifecycle",
+    "load-delta+controller-poll+lifecycle",
+    "job-arrival+lifecycle",
+    "load-delta+job-arrival+lifecycle",
+    "controller-poll+job-arrival+lifecycle",
+    "load-delta+controller-poll+job-arrival+lifecycle",
+    "job-completion+lifecycle",
+    "load-delta+job-completion+lifecycle",
+    "controller-poll+job-completion+lifecycle",
+    "load-delta+controller-poll+job-completion+lifecycle",
+    "job-arrival+job-completion+lifecycle",
+    "load-delta+job-arrival+job-completion+lifecycle",
+    "controller-poll+job-arrival+job-completion+lifecycle",
+    "load-delta+controller-poll+job-arrival+job-completion+lifecycle",
+];
 
 /// A server's admission state for the flight recorder: the verdict plus
 /// every input that feeds it (controller permission, slack, load, slots,
@@ -578,4 +670,81 @@ fn admission_event(entry: &ServerEntry, now: SimTime) -> TraceEvent {
         .f64("load", entry.lc_load)
         .u64("free_slots", entry.free_slots() as u64)
         .u64("disabled_streak", entry.disabled_streak as u64)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const NOW: u64 = 10;
+
+    /// Emits the `n`-th fleet event of a test step, every other one before
+    /// the leaves an unplaced job, and the event the commit must record.
+    fn emit_fleet(step: &mut StepTrace, expected: &mut Vec<TraceEvent>, n: u64, unplaced: bool) {
+        let now = SimTime::from_secs(NOW);
+        if unplaced && n.is_multiple_of(2) {
+            step.unplaced.push((step.events.len(), n as JobId));
+            expected.push(TraceEvent::new(now, "fleet", "unplaced").u64("job", n));
+        } else {
+            let event = TraceEvent::new(now, "t", "e").u64("n", n);
+            expected.push(event.clone());
+            step.events.push(event);
+        }
+    }
+
+    #[test]
+    fn commit_matches_a_stable_sort_of_the_emission_order() {
+        // Per step: fleet events emitted before the leaves, each leaf's
+        // (commissioning offset, event times), fleet events after them.
+        let cases = [
+            (2, vec![(0, vec![9]), (2, vec![7, 7])], 1),
+            (0, vec![(0, vec![9, 9])], 2),
+            (0, vec![], 2),
+            (3, vec![], 0),
+            // Leaf events at the step's end keep their emission slot; later
+            // ones follow every fleet event; leaves interleave in time.
+            (1, vec![(0, vec![9, 10])], 2),
+            (1, vec![(0, vec![11, 9]), (1, vec![10])], 1),
+            (1, vec![(1, vec![8]), (0, vec![3, 2, 12])], 1),
+        ];
+        for (fleet_before, leaves, fleet_after) in cases {
+            let mut step = StepTrace::default();
+            let mut expected = Vec::new();
+            for n in 0..fleet_before {
+                emit_fleet(&mut step, &mut expected, n, true);
+            }
+            step.leaf_split = step.events.len();
+            for (id, (offset, times)) in leaves.iter().enumerate() {
+                let epoch = SimDuration::from_secs(*offset);
+                for &t in times {
+                    let event = TraceEvent::new(SimTime::from_secs(t - offset), "t", "leaf");
+                    step.leaf_events.push(event.shifted(epoch).u64("server", id as u64));
+                }
+            }
+            expected.extend(step.leaf_events.iter().cloned());
+            for n in fleet_before..fleet_before + fleet_after {
+                emit_fleet(&mut step, &mut expected, n, false);
+            }
+            expected.sort_by_key(|e| e.time());
+            let mut recorder = FlightRecorder::new(64);
+            step.commit(SimTime::from_secs(NOW), &mut recorder);
+            let got: Vec<TraceEvent> = recorder.iter().cloned().collect();
+            assert_eq!(got, expected);
+            assert!(step.events.is_empty() && step.unplaced.is_empty());
+            assert!(step.leaf_events.is_empty());
+            assert_eq!(step.leaf_split, 0);
+        }
+    }
+
+    #[test]
+    fn wake_labels_join_the_reasons_of_every_mask() {
+        for (mask, label) in WAKE_LABELS.iter().enumerate() {
+            let names: Vec<&str> = WakeReason::ALL
+                .iter()
+                .filter(|r| mask & (1 << r.index()) != 0)
+                .map(|r| r.name())
+                .collect();
+            assert_eq!(*label, names.join("+"), "mask {mask:#07b}");
+        }
+    }
 }

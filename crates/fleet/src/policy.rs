@@ -79,12 +79,6 @@ pub trait PlacementPolicy: Send {
     }
 }
 
-/// Fleet size above which round-plan construction fans out across the
-/// store's pool shards with [`parallel_map`]; below it a serial scan wins
-/// on thread overhead.  Either path visits the same candidates and builds
-/// the same plan, so the threshold never changes placement decisions.
-const PARALLEL_PLAN_MIN_SERVERS: usize = 512;
-
 /// One candidate in a score-ordered round plan.  The heap is a *lazy*
 /// argmax: entries are validated against the live resident count when
 /// popped, because scores strictly decrease as residents accrue within a
@@ -123,11 +117,12 @@ impl Ord for HeapEntry {
     }
 }
 
-/// Scores every admitting server into a max-heap, scanning shard-by-shard
-/// (in parallel on large fleets).
+/// Scores every admitting server into a max-heap, scanning shard by shard.
+/// One serial pass is a fraction of a millisecond even at 10k servers, less
+/// than spawning workers for it would cost.
 fn scored_candidates<F>(store: &PlacementStore, score: &F) -> BinaryHeap<HeapEntry>
 where
-    F: Fn(&ServerEntry, usize) -> f64 + Sync,
+    F: Fn(&ServerEntry, usize) -> f64,
 {
     let entry_of = |id: ServerId| {
         let server = store.server(id);
@@ -137,15 +132,7 @@ where
             residents: server.resident.len(),
         })
     };
-    let shards = store.shards();
-    if store.servers().len() >= PARALLEL_PLAN_MIN_SERVERS && shards.len() > 1 {
-        let per_shard: Vec<Vec<HeapEntry>> = parallel_map(shards, |shard| {
-            shard.members().iter().filter_map(|&id| entry_of(id)).collect()
-        });
-        per_shard.into_iter().flatten().collect()
-    } else {
-        shards.iter().flat_map(|s| s.members().iter().filter_map(|&id| entry_of(id))).collect()
-    }
+    store.shards().iter().flat_map(|s| s.members().iter().filter_map(|&id| entry_of(id))).collect()
 }
 
 /// Pops the current argmax from a lazy score heap, refreshing it for the
@@ -206,37 +193,23 @@ struct SlotPlan {
 
 impl SlotPlan {
     /// Builds the plan over every server passing `candidate` (the round's
-    /// static admission predicate) that has a free slot, scanning
-    /// shard-by-shard (in parallel on large fleets).
+    /// static admission predicate) that has a free slot, scanning shard by
+    /// shard.
     fn build<F>(store: &PlacementStore, candidate: &F) -> Self
     where
-        F: Fn(&ServerEntry) -> bool + Sync,
+        F: Fn(&ServerEntry) -> bool,
     {
         let n = store.servers().len();
         let mut plan = SlotPlan { tree: vec![0; n + 1], free: vec![0; n], candidates: 0 };
-        let slots_of = |id: ServerId| {
-            let server = store.server(id);
-            (candidate(server) && server.has_free_slot()).then(|| (id, server.free_slots()))
-        };
-        let shards = store.shards();
-        let found: Vec<(ServerId, usize)> = if n >= PARALLEL_PLAN_MIN_SERVERS && shards.len() > 1 {
-            parallel_map(shards, |shard| {
-                shard
-                    .members()
-                    .iter()
-                    .filter_map(|&id| slots_of(id))
-                    .collect::<Vec<(ServerId, usize)>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        } else {
-            shards.iter().flat_map(|s| s.members().iter().filter_map(|&id| slots_of(id))).collect()
-        };
-        for (id, slots) in found {
-            plan.free[id] = slots;
-            plan.tree_add(id);
-            plan.candidates += 1;
+        for shard in store.shards() {
+            for &id in shard.members() {
+                let server = store.server(id);
+                if candidate(server) && server.has_free_slot() {
+                    plan.free[id] = server.free_slots();
+                    plan.tree_add(id);
+                    plan.candidates += 1;
+                }
+            }
         }
         plan
     }

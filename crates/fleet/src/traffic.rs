@@ -514,7 +514,7 @@ impl TrafficPlane {
                 trace.emit(
                     TraceEvent::new(trace_now, "traffic", "route")
                         .str("service", service.name())
-                        .str("balancer", self.balancer.name())
+                        .str("balancer", self.balancer.name().to_string())
                         .f64("offered_qps", offered)
                         .f64("routed_qps", step.routed_qps[service.index()])
                         .u64("leaves", leaves.len() as u64)

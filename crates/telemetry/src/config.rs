@@ -20,9 +20,12 @@ pub struct TelemetryConfig {
     pub health: bool,
 }
 
+/// The default flight-recorder capacity, in events.
+pub(crate) const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
+
 impl Default for TelemetryConfig {
     fn default() -> Self {
-        TelemetryConfig { enabled: false, trace_capacity: 1 << 16, health: false }
+        TelemetryConfig { enabled: false, trace_capacity: DEFAULT_TRACE_CAPACITY, health: false }
     }
 }
 

@@ -13,7 +13,7 @@
 //! The plane never feeds back into the simulation — turning it on or off
 //! leaves `FleetResult` bit-identical (pinned by the determinism tests).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use heracles_sim::SimTime;
 
@@ -296,12 +296,18 @@ pub const TOP_K_LEAVES: usize = 8;
 /// Owned by `Telemetry` when health observation is enabled; the fleet step
 /// loop feeds it observations and drains its events into the flight
 /// recorder.  It is strictly read-only with respect to the simulation.
+///
+/// Cells and leaves are stored densely by index — `cells[service]
+/// [generation]` and `leaves[id]`, grown on first sight — so an observation
+/// costs two index operations, and iterating in index order visits them in
+/// (service, generation) and leaf-id order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct HealthPlane {
-    /// Sketches per (service index, generation index) cell.
-    cells: BTreeMap<(u8, u8), CellSketches>,
-    /// Sketches per leaf id.
-    leaves: BTreeMap<u32, LeafSketches>,
+    /// Sketches per service index, then per generation index (`None` for a
+    /// cell never observed).
+    cells: Vec<Vec<Option<CellSketches>>>,
+    /// Sketches per leaf id (`None` for a leaf never observed).
+    leaves: Vec<Option<LeafSketches>>,
     /// The burn-rate alert engine.
     pub engine: AlertEngine,
 }
@@ -325,7 +331,8 @@ impl HealthPlane {
         mean_latency: f64,
         load: f64,
     ) {
-        let cell = self.cells.entry((service, generation)).or_default();
+        let cell = dense_slot(dense_slot(&mut self.cells, usize::from(service)), generation.into())
+            .get_or_insert_with(CellSketches::default);
         cell.latency.observe(worst_latency);
         cell.slack.observe((1.0 - mean_latency).max(0.0));
         cell.load.observe(load);
@@ -335,7 +342,8 @@ impl HealthPlane {
     /// normalized window latency and how many full windows it stepped
     /// (its wake cost under the event core).
     pub fn observe_leaf(&mut self, leaf: u32, normalized_latency: f64, full_windows: f64) {
-        let sketches = self.leaves.entry(leaf).or_default();
+        let sketches =
+            dense_slot(&mut self.leaves, leaf as usize).get_or_insert_with(LeafSketches::default);
         sketches.latency.observe(normalized_latency);
         sketches.wakes.observe(full_windows);
     }
@@ -352,29 +360,33 @@ impl HealthPlane {
 
     /// The sketches for one cell, if it has observations.
     pub fn cell(&self, service: u8, generation: u8) -> Option<&CellSketches> {
-        self.cells.get(&(service, generation))
+        self.cells.get(usize::from(service))?.get(usize::from(generation))?.as_ref()
     }
 
     /// Iterates all cells in (service, generation) order.
-    pub fn cells(&self) -> impl Iterator<Item = (&(u8, u8), &CellSketches)> {
-        self.cells.iter()
+    pub fn cells(&self) -> impl Iterator<Item = ((u8, u8), &CellSketches)> {
+        self.cells.iter().enumerate().flat_map(|(service, row)| {
+            row.iter().enumerate().filter_map(move |(generation, cell)| {
+                Some(((service as u8, generation as u8), cell.as_ref()?))
+            })
+        })
     }
 
     /// The sketches for one leaf, if it has observations.
     pub fn leaf(&self, leaf: u32) -> Option<&LeafSketches> {
-        self.leaves.get(&leaf)
+        self.leaves.get(leaf as usize)?.as_ref()
     }
 
     /// Iterates all leaves in id order.
-    pub fn leaves(&self) -> impl Iterator<Item = (&u32, &LeafSketches)> {
-        self.leaves.iter()
+    pub fn leaves(&self) -> impl Iterator<Item = (u32, &LeafSketches)> {
+        self.leaves.iter().enumerate().filter_map(|(id, s)| Some((id as u32, s.as_ref()?)))
     }
 
     /// The [`TOP_K_LEAVES`] unhealthiest leaves by latency p99 (ties break
     /// toward the lower id, so the ranking is total and deterministic).
     pub fn unhealthiest_leaves(&self) -> Vec<(u32, f64)> {
         let mut ranked: Vec<(u32, f64)> =
-            self.leaves.iter().map(|(&id, s)| (id, s.latency.p99())).collect();
+            self.leaves().map(|(id, s)| (id, s.latency.p99())).collect();
         ranked.sort_by(|a, b| {
             b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
         });
@@ -387,7 +399,7 @@ impl HealthPlane {
     /// sim time `now`.
     pub fn summary_events(&self, now: SimTime) -> Vec<TraceEvent> {
         let mut events = Vec::new();
-        for (&(service, generation), cell) in &self.cells {
+        for ((service, generation), cell) in self.cells() {
             events.push(
                 TraceEvent::new(now, "health", "summary")
                     .u64("service", u64::from(service))
@@ -402,7 +414,7 @@ impl HealthPlane {
             );
         }
         for (id, p99) in self.unhealthiest_leaves() {
-            let sketches = &self.leaves[&id];
+            let sketches = self.leaf(id).expect("ranked leaves have sketches");
             events.push(
                 TraceEvent::new(now, "health", "leaf")
                     .u64("leaf", u64::from(id))
@@ -414,6 +426,14 @@ impl HealthPlane {
         }
         events
     }
+}
+
+/// The slot at `index`, growing `slots` with defaults to reach it.
+fn dense_slot<T: Default>(slots: &mut Vec<T>, index: usize) -> &mut T {
+    if index >= slots.len() {
+        slots.resize_with(index + 1, T::default);
+    }
+    &mut slots[index]
 }
 
 #[cfg(test)]

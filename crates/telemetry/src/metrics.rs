@@ -55,10 +55,9 @@ impl Histogram {
         }
         self.count += 1;
         self.sum += value;
-        let idx = HISTOGRAM_BUCKET_BOUNDS
-            .iter()
-            .position(|&bound| value <= bound)
-            .unwrap_or(HISTOGRAM_BUCKET_BOUNDS.len());
+        // The first bound at or above `value` (none for NaN or overflow),
+        // found by bisection over the sorted bounds.
+        let idx = HISTOGRAM_BUCKET_BOUNDS.partition_point(|&bound| value > bound || value.is_nan());
         self.buckets[idx] += 1;
     }
 
@@ -177,6 +176,17 @@ impl MetricsRegistry {
         self.histograms.entry(id).or_default().observe(value);
     }
 
+    /// Records every value of `values` in order into one histogram, looking
+    /// it up once.  Registers nothing when `values` is empty, exactly like
+    /// the same number of [`observe`](Self::observe) calls.
+    pub fn observe_all(&mut self, id: &'static str, values: impl IntoIterator<Item = f64>) {
+        let mut values = values.into_iter().peekable();
+        if values.peek().is_some() {
+            let histogram = self.histograms.entry(id).or_default();
+            values.for_each(|value| histogram.observe(value));
+        }
+    }
+
     /// Current value of a counter (0 if never incremented).
     pub fn counter(&self, id: &str) -> u64 {
         self.counters.get(id).copied().unwrap_or(0)
@@ -245,6 +255,36 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bisected_bucket_matches_the_first_bound_at_or_above() {
+        let mut values = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, 0.0, 7e4];
+        for &bound in &HISTOGRAM_BUCKET_BOUNDS {
+            values.extend([bound, bound.next_down(), bound.next_up()]);
+        }
+        for value in values {
+            let mut h = Histogram::default();
+            h.observe(value);
+            let expected = HISTOGRAM_BUCKET_BOUNDS
+                .iter()
+                .position(|&bound| value <= bound)
+                .unwrap_or(HISTOGRAM_BUCKET_BOUNDS.len());
+            assert_eq!(h.buckets[expected], 1, "value {value}");
+        }
+    }
+
+    #[test]
+    fn observe_all_matches_repeated_observe() {
+        let mut one_by_one = MetricsRegistry::new();
+        let mut batched = MetricsRegistry::new();
+        for v in [0.3, 1.7, 42.0] {
+            one_by_one.observe("x", v);
+        }
+        batched.observe_all("x", [0.3, 1.7, 42.0]);
+        batched.observe_all("empty", std::iter::empty());
+        assert_eq!(one_by_one, batched);
+        assert!(batched.histogram("empty").is_none());
+    }
 
     #[test]
     fn counters_accumulate_and_default_to_zero() {

@@ -1,9 +1,8 @@
 //! The bounded flight recorder and the per-run telemetry bundle.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 
-use crate::config::TelemetryConfig;
+use crate::config::{TelemetryConfig, DEFAULT_TRACE_CAPACITY};
 use crate::health::HealthPlane;
 use crate::metrics::MetricsRegistry;
 use crate::trace::{json_escape, TraceEvent};
@@ -14,10 +13,19 @@ use crate::validate::{METRICS_SCHEMA, TRACE_SCHEMA};
 /// Like an aircraft flight recorder it keeps the *most recent* history:
 /// when full, the oldest event is dropped and counted, so a long run's
 /// trace ends at the interesting end (the crash) rather than the take-off.
+///
+/// When built, the ring reserves slots up to the default capacity (pages
+/// are touched only as events fill them; a larger ring grows past it as it
+/// fills); once full, it overwrites its oldest slot in place.  A ring of
+/// the default capacity never reallocates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightRecorder {
     capacity: usize,
-    events: VecDeque<TraceEvent>,
+    /// The ring's slots; once `capacity` are filled, the oldest event is at
+    /// `head` and the newest just before it.
+    events: Vec<TraceEvent>,
+    /// The slot the next event overwrites once the ring is full.
+    head: usize,
     dropped: u64,
 }
 
@@ -27,30 +35,28 @@ impl FlightRecorder {
         let capacity = capacity.max(1);
         FlightRecorder {
             capacity,
-            events: VecDeque::with_capacity(capacity.min(1 << 12)),
+            events: Vec::with_capacity(capacity.min(DEFAULT_TRACE_CAPACITY)),
+            head: 0,
             dropped: 0,
         }
     }
 
     /// Appends one event, evicting the oldest if the ring is full.
+    #[inline]
     pub fn record(&mut self, event: TraceEvent) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
+        if self.events.len() < self.capacity {
+            self.events.push(event);
+        } else {
+            self.events[self.head] = event;
+            self.head = if self.head + 1 == self.capacity { 0 } else { self.head + 1 };
             self.dropped += 1;
-        }
-        self.events.push_back(event);
-    }
-
-    /// Appends every event from `iter` in order.
-    pub fn extend(&mut self, iter: impl IntoIterator<Item = TraceEvent>) {
-        for event in iter {
-            self.record(event);
         }
     }
 
     /// The retained events, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
+        let (newest, oldest) = self.events.split_at(self.head);
+        oldest.iter().chain(newest)
     }
 
     /// Number of retained events.
@@ -88,7 +94,7 @@ impl FlightRecorder {
             let _ = write!(out, ",\"{}\":\"{}\"", json_escape(key), json_escape(value));
         }
         out.push_str("}\n");
-        for event in &self.events {
+        for event in self.iter() {
             out.push_str(&event.jsonl());
             out.push('\n');
         }
@@ -98,7 +104,7 @@ impl FlightRecorder {
     /// Renders the trace as a CSV document (`time_s,scope,kind,fields`).
     pub fn to_csv(&self) -> String {
         let mut out = String::from("time_s,scope,kind,fields\n");
-        for event in &self.events {
+        for event in self.iter() {
             event.push_csv_row(&mut out);
         }
         out
@@ -116,6 +122,15 @@ pub struct Telemetry {
     /// The online health plane (sketches + alert engine), present only
     /// when [`TelemetryConfig::health`] asked for it.
     pub health: Option<HealthPlane>,
+}
+
+/// Appends every event in order, as [`FlightRecorder::record`] does.
+impl Extend<TraceEvent> for FlightRecorder {
+    fn extend<I: IntoIterator<Item = TraceEvent>>(&mut self, iter: I) {
+        for event in iter {
+            self.record(event);
+        }
+    }
 }
 
 impl Default for FlightRecorder {
@@ -194,6 +209,16 @@ mod tests {
         assert_eq!(rec.dropped(), 2);
         let first = rec.iter().next().unwrap();
         assert_eq!(first.time(), SimTime::from_secs(2));
+    }
+
+    #[test]
+    fn a_wrapped_ring_keeps_oldest_first_order() {
+        let mut rec = FlightRecorder::new(4);
+        rec.extend((0..11).map(event));
+        let times: Vec<u64> = rec.iter().map(|e| e.time().as_nanos() / 1_000_000_000).collect();
+        assert_eq!(times, vec![7, 8, 9, 10]);
+        assert_eq!(rec.dropped(), 7);
+        assert_eq!(rec.to_csv().lines().nth(1), Some("7.000000,test,tick,n=7"));
     }
 
     #[test]

@@ -16,8 +16,11 @@
 //! bit for bit.  That is what lets the alert engine's decisions, and the
 //! trace events they emit, stay byte-identical across runs of the same
 //! seed.
-
-use std::collections::BTreeMap;
+//!
+//! Buckets are stored densely, one count per index between the lowest and
+//! the highest occupied bucket, so an observation is an index computation
+//! and an array increment.  `crates/telemetry/tests/sketch_oracle.rs` pins
+//! the sketch bit for bit to a sparse ordered-map reference.
 
 /// The sketch's relative-error guarantee: for any quantile `q`, the
 /// estimate `e` and the exact value `x` (of the same rank) satisfy
@@ -31,22 +34,24 @@ pub const RELATIVE_ERROR: f64 = 0.01;
 pub const MIN_TRACKED: f64 = 1e-9;
 
 /// Geometric bucket ratio: bucket `i` covers `(GAMMA^(i-1), GAMMA^i]`.
-fn gamma() -> f64 {
-    (1.0 + RELATIVE_ERROR) / (1.0 - RELATIVE_ERROR)
-}
+const GAMMA: f64 = (1.0 + RELATIVE_ERROR) / (1.0 - RELATIVE_ERROR);
+
+/// `GAMMA.ln()`, written out because `ln` is not a `const fn`; a unit test
+/// pins it to the runtime value bit for bit.
+const LN_GAMMA: f64 = 0.020000666706669435;
 
 /// The bucket index of a tracked (`> MIN_TRACKED`, finite) value.
 fn bucket_index(value: f64) -> i32 {
     // ceil(log_gamma(value)); the same value always maps to the same
     // bucket — `ln` is a pure function — so bucketing is order-free.
-    (value.ln() / gamma().ln()).ceil() as i32
+    (value.ln() / LN_GAMMA).ceil() as i32
 }
 
 /// The representative value of bucket `i`: the multiplicative midpoint
 /// `gamma^i * (1 - alpha)`, within `RELATIVE_ERROR` of every value in the
 /// bucket.
 fn representative(index: i32) -> f64 {
-    gamma().powi(index) * (1.0 - RELATIVE_ERROR)
+    GAMMA.powi(index) * (1.0 - RELATIVE_ERROR)
 }
 
 /// A mergeable streaming quantile sketch over non-negative values.
@@ -65,9 +70,13 @@ fn representative(index: i32) -> f64 {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantileSketch {
-    /// Count per log bucket (sparse; sorted iteration gives deterministic
-    /// quantile walks).
-    buckets: BTreeMap<i32, u64>,
+    /// Count per log bucket, for the indices `offset ..` in ascending
+    /// order (so quantile walks are deterministic).  The first and last
+    /// counts are never zero, which keeps equal sketches equal field by
+    /// field; empty until the first tracked value.
+    buckets: Vec<u64>,
+    /// The bucket index of `buckets[0]` (0 while `buckets` is empty).
+    offset: i32,
     /// Values at or below [`MIN_TRACKED`] (plus any non-finite stray, which
     /// no healthy emitter produces).
     underflow: u64,
@@ -83,7 +92,8 @@ pub struct QuantileSketch {
 impl Default for QuantileSketch {
     fn default() -> Self {
         QuantileSketch {
-            buckets: BTreeMap::new(),
+            buckets: Vec::new(),
+            offset: 0,
             underflow: 0,
             count: 0,
             min: f64::INFINITY,
@@ -113,7 +123,24 @@ impl QuantileSketch {
         if !value.is_finite() || value <= MIN_TRACKED {
             self.underflow += 1;
         } else {
-            *self.buckets.entry(bucket_index(value)).or_insert(0) += 1;
+            let index = bucket_index(value);
+            self.cover(index, index);
+            self.buckets[(index - self.offset) as usize] += 1;
+        }
+    }
+
+    /// Extends the dense bucket range to include indices `lo..=hi`.
+    fn cover(&mut self, lo: i32, hi: i32) {
+        if self.buckets.is_empty() {
+            self.offset = lo;
+        } else if lo < self.offset {
+            let grow = (self.offset - lo) as usize;
+            self.buckets.splice(0..0, std::iter::repeat_n(0, grow));
+            self.offset = lo;
+        }
+        let len = (hi - self.offset) as usize + 1;
+        if self.buckets.len() < len {
+            self.buckets.resize(len, 0);
         }
     }
 
@@ -125,14 +152,25 @@ impl QuantileSketch {
         self.max = self.max.max(other.max);
         self.count += other.count;
         self.underflow += other.underflow;
-        for (&idx, &n) in &other.buckets {
-            *self.buckets.entry(idx).or_insert(0) += n;
+        if other.buckets.is_empty() {
+            return;
+        }
+        self.cover(other.offset, other.offset + other.buckets.len() as i32 - 1);
+        let start = (other.offset - self.offset) as usize;
+        for (mine, &n) in self.buckets[start..].iter_mut().zip(&other.buckets) {
+            *mine += n;
         }
     }
 
     /// Total observations.
     pub fn count(&self) -> u64 {
         self.count
+    }
+
+    /// Observations in the underflow bucket: at or below [`MIN_TRACKED`],
+    /// negative or non-finite.
+    pub fn underflow(&self) -> u64 {
+        self.underflow
     }
 
     /// True when nothing has been observed.
@@ -158,10 +196,11 @@ impl QuantileSketch {
         }
     }
 
-    /// Number of occupied buckets — the sketch's memory footprint in
-    /// `O(buckets)` words, independent of the stream length.
+    /// Number of occupied buckets.  Memory is one word per bucket index
+    /// between the lowest and highest occupied bucket — independent of the
+    /// stream length.
     pub fn bucket_count(&self) -> usize {
-        self.buckets.len() + usize::from(self.underflow > 0)
+        self.buckets.iter().filter(|&&n| n > 0).count() + usize::from(self.underflow > 0)
     }
 
     /// The estimated `q`-quantile (`q` clamped to `[0, 1]`; 0 when empty).
@@ -181,11 +220,13 @@ impl QuantileSketch {
             // Underflow values are within MIN_TRACKED of the stream min.
             return self.min.clamp(0.0, MIN_TRACKED);
         }
+        // Empty buckets leave `cumulative` unchanged, and it starts below
+        // `rank`, so the walk stops on an occupied bucket.
         let mut cumulative = self.underflow;
-        for (&idx, &n) in &self.buckets {
+        for (index, &n) in (self.offset..).zip(&self.buckets) {
             cumulative += n;
             if cumulative >= rank {
-                return representative(idx).clamp(self.min, self.max);
+                return representative(index).clamp(self.min, self.max);
             }
         }
         self.max
@@ -216,6 +257,13 @@ mod tests {
     fn exact_quantile(sorted: &[f64], q: f64) -> f64 {
         let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
         sorted[rank - 1]
+    }
+
+    #[test]
+    fn hoisted_log_gamma_matches_the_runtime_value() {
+        let gamma = std::hint::black_box((1.0 + RELATIVE_ERROR) / (1.0 - RELATIVE_ERROR));
+        assert_eq!(GAMMA.to_bits(), gamma.to_bits());
+        assert_eq!(LN_GAMMA.to_bits(), gamma.ln().to_bits());
     }
 
     #[test]

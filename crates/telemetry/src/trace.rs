@@ -2,7 +2,8 @@
 
 use heracles_sim::csv::CsvRow;
 use heracles_sim::{SimDuration, SimTime};
-use std::fmt::Write as _;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 /// One typed field value on a [`TraceEvent`].
 ///
@@ -18,8 +19,9 @@ pub enum TraceValue {
     I64(i64),
     /// A float, serialized with six decimals.
     F64(f64),
-    /// A string (names, labels), JSON-escaped on output.
-    Str(String),
+    /// A string (names, labels), JSON-escaped on output.  Static labels
+    /// are borrowed, so recording them allocates nothing.
+    Str(Cow<'static, str>),
     /// A boolean.
     Bool(bool),
 }
@@ -40,7 +42,7 @@ impl TraceValue {
     /// Renders the value bare (no quotes), for the CSV sink's `k=v` cells.
     pub fn to_bare(&self) -> String {
         match self {
-            TraceValue::Str(s) => s.clone(),
+            TraceValue::Str(s) => s.to_string(),
             other => other.to_json(),
         }
     }
@@ -48,7 +50,7 @@ impl TraceValue {
 
 impl From<&str> for TraceValue {
     fn from(s: &str) -> Self {
-        TraceValue::Str(s.to_string())
+        TraceValue::Str(Cow::Owned(s.to_string()))
     }
 }
 
@@ -72,50 +74,120 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
+/// One named field of a [`TraceEvent`].
+type Field = (&'static str, TraceValue);
+
+/// Fields an event stores inline before it spills to the heap.  Most events
+/// the fleet records per step (`unplaced`, `wake`, `cap`, the controller's
+/// `network`) have at most this many, so recording them allocates nothing.
+const INLINE_FIELDS: usize = 4;
+
+/// The filler of unused inline slots, never exposed as a field: emitters
+/// never use an empty key.
+const VACANT: Field = ("", TraceValue::Bool(false));
+
+/// An event's fields in emission order: the first [`INLINE_FIELDS`] inline,
+/// the rest in `spilled`.  A spilled event's heap block holds only the
+/// fields past the inline ones, so an event of any width is no larger than
+/// an event whose fields all live in one `Vec` (64 bytes plus a block of
+/// four, eight, ... fields).
+#[derive(Clone)]
+struct Fields {
+    slots: [Field; INLINE_FIELDS],
+    spilled: Vec<Field>,
+}
+
+impl Fields {
+    #[inline]
+    fn new() -> Self {
+        Fields { slots: [VACANT; INLINE_FIELDS], spilled: Vec::new() }
+    }
+
+    #[inline]
+    fn iter(&self) -> impl Iterator<Item = &Field> {
+        let inline = self.slots.iter().position(|(key, _)| key.is_empty());
+        self.slots[..inline.unwrap_or(INLINE_FIELDS)].iter().chain(&self.spilled)
+    }
+
+    #[inline]
+    fn push(&mut self, field: Field) {
+        debug_assert!(!field.0.is_empty(), "trace field keys are never empty");
+        match self.slots.iter_mut().find(|(key, _)| key.is_empty()) {
+            Some(slot) => *slot = field,
+            None => self.spilled.push(field),
+        }
+    }
+}
+
+impl PartialEq for Fields {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for Fields {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// One decision record: where and when (in *simulated* time) a subsystem
 /// chose something, plus the typed fields that explain the choice.
 ///
 /// Events deliberately cannot carry wall-clock readings: the only timestamp
 /// is [`SimTime`], so a trace is a pure function of the seed.
+///
+/// An event with at most four fields, all numbers, booleans or `'static`
+/// strings, lives entirely inline: building, recording and evicting it
+/// touches no allocator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     time: SimTime,
     scope: &'static str,
     kind: &'static str,
-    fields: Vec<(&'static str, TraceValue)>,
+    fields: Fields,
 }
 
+/// The builders are `#[inline]` so that, across crates, a chain of them
+/// compiles to stores into one event rather than a copy of it per call.
 impl TraceEvent {
     /// Starts an event at `time` from subsystem `scope` with decision `kind`.
+    #[inline]
     pub fn new(time: SimTime, scope: &'static str, kind: &'static str) -> Self {
-        TraceEvent { time, scope, kind, fields: Vec::new() }
+        TraceEvent { time, scope, kind, fields: Fields::new() }
     }
 
     /// Appends an unsigned-integer field.
+    #[inline]
     pub fn u64(mut self, key: &'static str, value: u64) -> Self {
         self.fields.push((key, TraceValue::U64(value)));
         self
     }
 
     /// Appends a signed-integer field.
+    #[inline]
     pub fn i64(mut self, key: &'static str, value: i64) -> Self {
         self.fields.push((key, TraceValue::I64(value)));
         self
     }
 
     /// Appends a float field.
+    #[inline]
     pub fn f64(mut self, key: &'static str, value: f64) -> Self {
         self.fields.push((key, TraceValue::F64(value)));
         self
     }
 
-    /// Appends a string field.
-    pub fn str(mut self, key: &'static str, value: &str) -> Self {
-        self.fields.push((key, TraceValue::Str(value.to_string())));
+    /// Appends a string field: a `&'static str` is borrowed, a `String`
+    /// is moved in.
+    #[inline]
+    pub fn str(mut self, key: &'static str, value: impl Into<Cow<'static, str>>) -> Self {
+        self.fields.push((key, TraceValue::Str(value.into())));
         self
     }
 
     /// Appends a boolean field.
+    #[inline]
     pub fn bool(mut self, key: &'static str, value: bool) -> Self {
         self.fields.push((key, TraceValue::Bool(value)));
         self
@@ -124,12 +196,14 @@ impl TraceEvent {
     /// Shifts the event's timestamp forward by `offset`: rebases a
     /// subsystem's local clock (a leaf controller commissioned mid-run
     /// starts at its own zero) onto the global simulation clock.
+    #[inline]
     pub fn shifted(mut self, offset: SimDuration) -> Self {
         self.time += offset;
         self
     }
 
     /// The simulated time of the decision.
+    #[inline]
     pub fn time(&self) -> SimTime {
         self.time
     }
@@ -145,19 +219,19 @@ impl TraceEvent {
     }
 
     /// The typed fields, in emission order.
-    pub fn fields(&self) -> &[(&'static str, TraceValue)] {
-        &self.fields
+    pub fn fields(&self) -> impl Iterator<Item = &(&'static str, TraceValue)> {
+        self.fields.iter()
     }
 
     /// The value of the named field, if present.
     pub fn field(&self, key: &str) -> Option<&TraceValue> {
-        self.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+        self.fields().find(|(k, _)| *k == key).map(|(_, v)| v)
     }
 
     /// Renders the event as one JSON object (no trailing newline): the fixed
     /// `t`/`scope`/`kind` prefix followed by the fields in emission order.
     pub fn jsonl(&self) -> String {
-        let mut out = String::with_capacity(64 + 16 * self.fields.len());
+        let mut out = String::with_capacity(128);
         let _ = write!(
             out,
             "{{\"t\":{:.6},\"scope\":\"{}\",\"kind\":\"{}\"",
@@ -165,7 +239,7 @@ impl TraceEvent {
             self.scope,
             self.kind
         );
-        for (key, value) in &self.fields {
+        for (key, value) in self.fields() {
             let _ = write!(out, ",\"{}\":{}", json_escape(key), value.to_json());
         }
         out.push('}');
@@ -176,7 +250,7 @@ impl TraceEvent {
     /// `fields` is a `k=v;k=v` cell, escaped through the shared CSV rules.
     pub fn push_csv_row(&self, out: &mut String) {
         let mut cell = String::new();
-        for (i, (key, value)) in self.fields.iter().enumerate() {
+        for (i, (key, value)) in self.fields().enumerate() {
             if i > 0 {
                 cell.push(';');
             }
@@ -213,9 +287,15 @@ impl TraceLog {
         self.events.push(event);
     }
 
-    /// Removes and returns all buffered events in emission order.
+    /// Removes and returns all buffered events in emission order.  The log
+    /// keeps its own buffer, so a component drained every step (on another
+    /// thread than the one that drains it) stops allocating once the buffer
+    /// has grown, and the returned vector is allocated and later freed by
+    /// the draining thread.
     pub fn drain(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
+        let mut drained = Vec::with_capacity(self.events.len());
+        drained.append(&mut self.events);
+        drained
     }
 
     /// Number of buffered events.
@@ -250,6 +330,26 @@ mod tests {
              \"from\":\"disabled\",\"to\":\"enabled\",\"slack\":0.400000,\
              \"server\":3,\"growth\":true}"
         );
+    }
+
+    #[test]
+    fn spilled_fields_follow_the_inline_ones() {
+        const KEYS: [&str; 9] = ["a", "b", "c", "d", "e", "f", "g", "h", "i"];
+        let wide = KEYS.iter().zip(0..).fold(event(), |e, (k, v)| e.u64(k, v));
+        let keys: Vec<&str> = wide.fields().map(|(k, _)| *k).collect();
+        assert_eq!(keys[..5], ["from", "to", "slack", "server", "growth"]);
+        assert_eq!(keys[5..], KEYS);
+        assert_eq!(wide.field("i"), Some(&TraceValue::U64(8)));
+        assert_eq!(wide.clone(), wide);
+    }
+
+    /// An event is no larger than a 64-byte header holding its fields in a
+    /// heap block of four (a `Vec`'s first block), and a spilled event's
+    /// block holds only the fields past the inline ones.
+    #[test]
+    fn an_event_is_no_larger_than_a_header_and_four_fields() {
+        let header_and_block = 64 + INLINE_FIELDS * std::mem::size_of::<Field>();
+        assert!(std::mem::size_of::<TraceEvent>() <= header_and_block);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! Arbitrary `TraceEvent`s are rendered through the flight recorder's
 //! JSONL sink and recovered with the `trace_report` field scanners.
 //! Scope, kind, string, integer and boolean fields round-trip exactly
-//! (strings through every escape the writer emits); timestamps round-trip
+//! (strings, built at run time so they are owned rather than borrowed,
+//! through every escape the writer emits); timestamps round-trip
 //! exactly at the sink's microsecond precision; float fields round-trip
 //! to the sink's six rendered decimals.
 
@@ -66,7 +67,7 @@ fn event_strategy() -> impl Strategy<Value = TraceEvent> {
                     TraceValue::U64(v) => event.u64(key, v),
                     TraceValue::I64(v) => event.i64(key, v),
                     TraceValue::F64(v) => event.f64(key, v),
-                    TraceValue::Str(v) => event.str(key, &v),
+                    TraceValue::Str(v) => event.str(key, v),
                     TraceValue::Bool(v) => event.bool(key, v),
                 };
             }
@@ -114,7 +115,7 @@ proptest! {
                     TraceValue::Str(v) => {
                         prop_assert_eq!(
                             field_str(line, key).as_deref(),
-                            Some(v.as_str()),
+                            Some(&**v),
                             "str {} failed to round-trip: {}", key, line
                         );
                     }
